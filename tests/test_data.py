@@ -19,6 +19,21 @@ def small_dc(**kw):
     return DataConfig(**base)
 
 
+def scalar_gen_corpus(dc, rng, stream="train"):
+    """Token-by-token ``Generator.choice`` loop: the reference gen_corpus equals."""
+    T = transition_matrix(dc, rng.fork("transitions"))
+    marginal = np.full(dc.V, 1.0 / (dc.V - 1))
+    marginal[dc.mask_token_id] = 0.0
+    r = rng.fork(f"sequences.{stream}")
+    corpus = np.zeros((dc.corpus_size, dc.seq_len_full), dtype=np.int64)
+    for s in range(dc.corpus_size):
+        corpus[s, 0] = r.choice(dc.V, p=marginal)
+        for i in range(1, dc.seq_len_full):
+            p = marginal if dc.markov_order == 0 else T[corpus[s, i - 1]]
+            corpus[s, i] = r.choice(dc.V, p=p)
+    return corpus
+
+
 class TestDataConfig:
     def test_validation_catches_bad_lengths(self):
         with pytest.raises(ValidationError):
@@ -46,6 +61,14 @@ class TestGenCorpus:
         npt.assert_array_equal(a, b)
         c = gen_corpus(dc, Rng(4))
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_equals_scalar_choice_loop(self, seed, order):
+        dc = small_dc(markov_order=order, mask_token_id=seed, seed=seed)
+        for stream in ("train", "heldout"):
+            npt.assert_array_equal(gen_corpus(dc, Rng(seed), stream),
+                                   scalar_gen_corpus(dc, Rng(seed), stream))
 
     def test_mask_token_never_emitted(self):
         corpus = gen_corpus(small_dc(), Rng(5))

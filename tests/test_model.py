@@ -37,6 +37,42 @@ def brute_force_attention(x_q, x_kv, params, layer, M, D, scale):
     return out
 
 
+def per_head_attention_with_grads(x_q, x_kv, params, layer, config, rng, g):
+    """Head-by-head attention with dropout on, drawing M consecutive (nq, nkv)
+    masks from rng.  Returns (out, dx_q, dx_kv, weight grads) for the upstream
+    gradient g."""
+    D, M = config.D, config.M
+    dh = D // M
+    scale = 1.0 / np.sqrt(dh) if config.attn_scale else 1.0
+    w = {name: params[f"layer{layer}.{name}"]
+         for name in ("w_q", "w_k_t", "w_v1", "w_v2_t")}
+    out = np.zeros((x_q.shape[0], D))
+    dx_q, dx_kv = np.zeros_like(x_q), np.zeros_like(x_kv)
+    gw = {name: np.zeros_like(t) for name, t in w.items()}
+    for m in range(M):
+        cols = slice(m * dh, (m + 1) * dh)
+        q = x_q @ w["w_q"][:, cols]
+        k = x_kv @ w["w_k_t"][:, cols]
+        v = x_kv @ w["w_v1"][:, cols]
+        scores = q @ k.T * scale
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        mask = (rng.uniform(size=probs.shape) >= config.dropout_p) / (1.0 - config.dropout_p)
+        ctx = probs * mask @ v
+        out += ctx @ w["w_v2_t"][:, cols].T
+        g_ctx = g @ w["w_v2_t"][:, cols]
+        gw["w_v2_t"][:, cols] += g.T @ ctx
+        g_probs = (g_ctx @ v.T) * mask
+        g_scores = probs * (g_probs - (g_probs * probs).sum(axis=1, keepdims=True)) * scale
+        g_q, g_k, g_v = g_scores @ k, g_scores.T @ q, (probs * mask).T @ g_ctx
+        dx_q += g_q @ w["w_q"][:, cols].T
+        dx_kv += g_k @ w["w_k_t"][:, cols].T + g_v @ w["w_v1"][:, cols].T
+        gw["w_q"][:, cols] += x_q.T @ g_q
+        gw["w_k_t"][:, cols] += x_kv.T @ g_k
+        gw["w_v1"][:, cols] += x_kv.T @ g_v
+    return out, dx_q, dx_kv, gw
+
+
 class TestFFN:
     def test_identity_activation_hand_arithmetic(self):
         cfg = ModelConfig(L=1, D=1, H=2, M=1, N_max=4, V=3, dropout_p=0.0)
@@ -123,6 +159,29 @@ class TestAttention:
         out = attention_forward(x_q, x_kv, params, 0, cfg, Rng(0))
         ref = brute_force_attention(x_q, x_kv, params, 0, 2, 4, scale=1.0)
         npt.assert_allclose(out, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    def test_dropout_matches_per_head_loop(self, M):
+        """The batched (M, nq, nkv) mask draw consumes the stream exactly as
+        M per-head draws do, so outputs and gradients match a head loop."""
+        from growtrain.model import attention_apply, attention_backward
+        cfg = ModelConfig(L=1, D=8, H=8, M=M, N_max=8, V=5, dropout_p=0.3)
+        params = init_params(cfg, Rng(14).fork("init"))
+        rng = Rng(15)
+        x_q, x_kv = rng.uniform(-1, 1, (3, 8)), rng.uniform(-1, 1, (5, 8))
+        g = rng.uniform(-1, 1, (3, 8))
+        out, cache = attention_apply(x_q, x_kv, params, 0, cfg,
+                                     Rng(16).fork("layer0.attn"), training=True)
+        dx_q, dx_kv, wgrads = attention_backward(g, cache)
+        ref_out, ref_dxq, ref_dxkv, ref_w = per_head_attention_with_grads(
+            x_q, x_kv, params, 0, cfg, Rng(16).fork("layer0.attn"), g)
+        assert np.any(cache["mask"] == 0.0)
+        npt.assert_allclose(out, ref_out, atol=1e-12)
+        npt.assert_allclose(dx_q, ref_dxq, atol=1e-12)
+        npt.assert_allclose(dx_kv, ref_dxkv, atol=1e-12)
+        assert sorted(wgrads) == sorted(f"layer0.{name}" for name in ref_w)
+        for name, ref in ref_w.items():
+            npt.assert_allclose(wgrads[f"layer0.{name}"], ref, atol=1e-12)
 
     def test_gradients_vs_finite_differences(self):
         cfg = ModelConfig(L=1, D=4, H=8, M=2, N_max=8, V=5, dropout_p=0.0)
