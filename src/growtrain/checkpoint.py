@@ -73,19 +73,46 @@ def save_checkpoint(path, params: dict, model_config: ModelConfig,
                   json.dumps(manifest, indent=1, sort_keys=True).encode())
 
 
-def load_checkpoint(path) -> Checkpoint:
-    path = Path(path)
+_MANIFEST_KEYS = ("model_config", "data_config", "stage_index", "global_step",
+                  "rng_state", "tensors")
+_ENTRY_KEYS = ("name", "shape", "byte_offset", "element_count")
+
+
+def _read_manifest(path: Path) -> dict:
     try:
         with open(path / MANIFEST_NAME) as fh:
             manifest = json.load(fh)
     except FileNotFoundError:
-        raise IntegrityError(f"{path}: no {MANIFEST_NAME}")
+        raise IntegrityError(f"{path}: no {MANIFEST_NAME}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise IntegrityError(f"{path}: {MANIFEST_NAME} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise IntegrityError(f"{path}: {MANIFEST_NAME} is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise IntegrityError(f"{path}: unsupported format version")
-    blob = (path / BLOB_NAME).read_bytes()
+    for key in _MANIFEST_KEYS:
+        if key not in manifest:
+            raise IntegrityError(f"{path}: {MANIFEST_NAME} has no {key!r} field")
+    if not isinstance(manifest["tensors"], list):
+        raise IntegrityError(f"{path}: {MANIFEST_NAME} 'tensors' is not a list")
+    for i, entry in enumerate(manifest["tensors"]):
+        for key in _ENTRY_KEYS:
+            if not isinstance(entry, dict) or key not in entry:
+                raise IntegrityError(f"{path}: tensor entry {i} has no {key!r} field")
+    return manifest
+
+
+def load_checkpoint(path) -> Checkpoint:
+    path = Path(path)
+    manifest = _read_manifest(path)
+    try:
+        blob = (path / BLOB_NAME).read_bytes()
+    except FileNotFoundError:
+        raise IntegrityError(f"{path}: no {BLOB_NAME}") from None
 
     params = {}
     expected_offset = 0
+    name = None
     for entry in manifest["tensors"]:
         name = entry["name"]
         shape = tuple(entry["shape"])
@@ -106,7 +133,7 @@ def load_checkpoint(path) -> Checkpoint:
     if expected_offset != len(blob):
         raise IntegrityError(
             f"blob has {len(blob) - expected_offset} trailing bytes after the "
-            f"last tensor {manifest['tensors'][-1]['name']!r}")
+            f"last tensor {name!r}")
 
     model_config = ModelConfig.from_dict(manifest["model_config"])
     data_config = DataConfig.from_dict(manifest["data_config"])

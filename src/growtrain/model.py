@@ -168,32 +168,18 @@ def build_pooling(n: int, masked_positions, k: int):
     (n', n) and ``pooled_masked[j]`` is the output row holding masked
     position j.
     """
-    masked = list(masked_positions)
+    masked = np.asarray(masked_positions, dtype=np.int64)
+    pos = np.arange(n)
     is_masked = np.zeros(n, dtype=bool)
     is_masked[masked] = True
-    groups: list[list[int]] = []
-    pooled_of_pos: dict[int, int] = {}
-    run: list[int] = []
-
-    def flush_run():
-        for s in range(0, len(run), k):
-            groups.append(run[s:s + k])
-        run.clear()
-
-    for pos in range(n):
-        if is_masked[pos]:
-            flush_run()
-            pooled_of_pos[pos] = len(groups)
-            groups.append([pos])
-        else:
-            run.append(pos)
-    flush_run()
-
-    P = np.zeros((len(groups), n))
-    for row, members in enumerate(groups):
-        P[row, members] = 1.0 / len(members)
-    pooled_masked = np.array([pooled_of_pos[p] for p in masked], dtype=np.int64)
-    return P, pooled_masked
+    # start of the unmasked run holding each position (one past the last
+    # masked position at or before it)
+    run_start = np.maximum.accumulate(np.where(is_masked, pos, -1)) + 1
+    starts_group = is_masked | ((pos - run_start) % k == 0)
+    group = np.cumsum(starts_group) - 1
+    P = np.zeros((int(starts_group.sum()), n))
+    P[group, pos] = 1.0 / np.bincount(group)[group]
+    return P, group[masked].astype(np.int64)
 
 
 def pooled_length(n: int, k: int) -> int:
@@ -226,7 +212,7 @@ def ffn_apply(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
         pre = ops.matmul(mid1, w["ffn.w12"])
     a = act(pre)
     mask1 = ops.dropout_mask(a.shape, p, rng, training)
-    a_d = a if mask1 is None else a * mask1
+    a_d = a if mask1 is None else ops.apply_dropout(a, mask1, p)
     if config.ffn_mode == "full":
         y = ops.matmul(a_d, w["ffn.w2"])
     elif config.ffn_mode == "shared":
@@ -235,8 +221,8 @@ def ffn_apply(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
         mid2 = ops.matmul(a_d, w["ffn.w21"])
         y = ops.matmul(mid2, w["ffn.w22"])
     mask2 = ops.dropout_mask(y.shape, p, rng, training)
-    out = y if mask2 is None else y * mask2
-    cache = {"x": x, "pre": pre, "a": a, "a_d": a_d, "mask1": mask1,
+    out = y if mask2 is None else ops.apply_dropout(y, mask2, p, out=y)
+    cache = {"x": x, "pre": pre, "a_d": a_d, "mask1": mask1,
              "mask2": mask2, "act_grad": act_grad, "w": w, "layer": layer,
              "config": config}
     if config.ffn_mode == "factorized":
@@ -250,9 +236,10 @@ def ffn_backward(g: np.ndarray, cache: dict):
     config: ModelConfig = cache["config"]
     w = cache["w"]
     prefix = f"layer{cache['layer']}."
+    p = config.dropout_p
     grads: dict[str, np.ndarray] = {}
     if cache["mask2"] is not None:
-        g = g * cache["mask2"]
+        g = ops.apply_dropout(g, cache["mask2"], p)
     if config.ffn_mode == "full":
         g_ad, grads[prefix + "ffn.w2"] = ops.matmul_backward(g, cache["a_d"], w["ffn.w2"])
     elif config.ffn_mode == "shared":
@@ -260,8 +247,9 @@ def ffn_backward(g: np.ndarray, cache: dict):
     else:
         g_mid2, grads[prefix + "ffn.w22"] = ops.matmul_backward(g, cache["mid2"], w["ffn.w22"])
         g_ad, grads[prefix + "ffn.w21"] = ops.matmul_backward(g_mid2, cache["a_d"], w["ffn.w21"])
-    g_a = g_ad if cache["mask1"] is None else g_ad * cache["mask1"]
-    g_pre = g_a * cache["act_grad"](cache["pre"])
+    if cache["mask1"] is not None:
+        ops.apply_dropout(g_ad, cache["mask1"], p, out=g_ad)
+    g_pre = g_ad * cache["act_grad"](cache["pre"])
     if config.ffn_mode == "full":
         dx, grads[prefix + "ffn.w1"] = ops.matmul_backward(g_pre, cache["x"], w["ffn.w1"])
     elif config.ffn_mode == "shared":
@@ -294,6 +282,12 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, M * dh)
 
 
+def _dropped(probs: np.ndarray, mask, p: float) -> np.ndarray:
+    """Probabilities after dropout.  The attention cache keeps only probs
+    and the boolean mask, so the backward pass rebuilds these."""
+    return probs if mask is None else ops.apply_dropout(probs, mask, p)
+
+
 def attention_apply(x_q: np.ndarray, x_kv: np.ndarray, params: dict, layer: int,
                     config: ModelConfig, rng: Rng, training: bool):
     """Multi-head attention body (no residual, no layer-norm).
@@ -315,30 +309,33 @@ def attention_apply(x_q: np.ndarray, x_kv: np.ndarray, params: dict, layer: int,
     q = _split_heads(ops.matmul(x_q, w["w_q"]), M)
     k = _split_heads(ops.matmul(x_kv, w["w_k_t"]), M)
     v = _split_heads(ops.matmul(x_kv, w["w_v1"]), M)
-    probs = ops.softmax_rows((q @ k.transpose(0, 2, 1)) * scale)
+    scores = q @ k.transpose(0, 2, 1)
+    scores *= scale
+    probs = ops.softmax_rows(scores)
     mask = ops.dropout_mask(probs.shape, config.dropout_p, rng, training)
-    probs_d = probs if mask is None else probs * mask
-    ctx = _merge_heads(probs_d @ v)
+    ctx = _merge_heads(_dropped(probs, mask, config.dropout_p) @ v)
     out = ctx @ w["w_v2_t"].T
     cache = {"x_q": x_q, "x_kv": x_kv, "q": q, "k": k, "v": v, "probs": probs,
-             "mask": mask, "probs_d": probs_d, "ctx": ctx, "scale": scale,
+             "mask": mask, "ctx": ctx, "scale": scale,
              "layer": layer, "config": config, "w": w}
     return out, cache
 
 
 def attention_backward(g: np.ndarray, cache: dict):
     """Adjoint of attention_apply.  Returns (dx_q, dx_kv, weight grads)."""
-    M = cache["config"].M
+    M, p = cache["config"].M, cache["config"].dropout_p
     x_q, x_kv = cache["x_q"], cache["x_kv"]
     w = cache["w"]
     prefix = f"layer{cache['layer']}."
     gw = {"w_v2_t": g.T @ cache["ctx"]}
     g_ctx = _split_heads(g @ w["w_v2_t"], M)
     g_probs = g_ctx @ cache["v"].transpose(0, 2, 1)
-    g_v = _merge_heads(cache["probs_d"].transpose(0, 2, 1) @ g_ctx)
+    probs_d = _dropped(cache["probs"], cache["mask"], p)
+    g_v = _merge_heads(probs_d.transpose(0, 2, 1) @ g_ctx)
     if cache["mask"] is not None:
-        g_probs *= cache["mask"]
-    g_scores = ops.softmax_rows_backward(g_probs, cache["probs"]) * cache["scale"]
+        ops.apply_dropout(g_probs, cache["mask"], p, out=g_probs)
+    g_scores = ops.softmax_rows_backward(g_probs, cache["probs"])
+    g_scores *= cache["scale"]
     g_q = _merge_heads(g_scores @ cache["k"])
     g_k = _merge_heads(g_scores.transpose(0, 2, 1) @ cache["q"])
     g_xq, gw["w_q"] = ops.matmul_backward(g_q, x_q, w["w_q"])
@@ -384,7 +381,6 @@ def encoder_apply(token_ids, masked_positions, params: dict, config: ModelConfig
     masked = np.asarray(list(masked_positions), dtype=np.int64)
 
     x = params["token_emb"][token_ids] + params["pos_emb"][:n]
-    x0 = x
     if config.pool_k > 1:
         P, pooled_masked = build_pooling(n, masked, config.pool_k)
     else:
@@ -395,27 +391,26 @@ def encoder_apply(token_ids, masked_positions, params: dict, config: ModelConfig
         lp = f"layer{i}."
         rng_a = rng.fork(f"layer{i}.attn")
         rng_f = rng.fork(f"layer{i}.ffn")
-        x_in = x
-        ln1 = ops.layer_norm(x_in, params[lp + "ln_attn.gain"],
-                             params[lp + "ln_attn.bias"], LN_EPS)
+        ln1, ln1_cache = ops.layer_norm(x, params[lp + "ln_attn.gain"],
+                                        params[lp + "ln_attn.bias"], LN_EPS)
         if i == 0 and P is not None:
             att, acache = attention_apply(P @ ln1, ln1, params, i, config, rng_a, training)
-            x = P @ x_in + att
+            x = P @ x + att
         else:
             att, acache = attention_apply(ln1, ln1, params, i, config, rng_a, training)
-            x = x_in + att
-        x_mid = x
-        ln2 = ops.layer_norm(x_mid, params[lp + "ln_ffn.gain"],
-                             params[lp + "ln_ffn.bias"], LN_EPS)
+            x = x + att
+        ln2, ln2_cache = ops.layer_norm(x, params[lp + "ln_ffn.gain"],
+                                        params[lp + "ln_ffn.bias"], LN_EPS)
         f, fcache = ffn_apply(ln2, params, i, config, rng_f, training, activation)
-        x = x_mid + f
-        layers.append({"x_in": x_in, "x_mid": x_mid, "attn": acache, "ffn": fcache})
+        x = x + f
+        layers.append({"ln_attn": ln1_cache, "ln_ffn": ln2_cache,
+                       "attn": acache, "ffn": fcache})
 
     hidden = x
     rows = hidden[pooled_masked] if pooled_masked.size else np.zeros((0, config.D))
     logits = rows @ params["head.w"] + params["head.b"]
     cache = {"token_ids": token_ids, "n": n, "P": P, "pooled_masked": pooled_masked,
-             "x0": x0, "layers": layers, "hidden": hidden, "rows": rows,
+             "layers": layers, "hidden": hidden, "rows": rows,
              "params": params, "config": config}
     return logits, hidden, cache
 
@@ -443,7 +438,7 @@ def encoder_backward(g_logits: np.ndarray, cache: dict, grads: dict) -> None:
         for name, t in fgrads.items():
             grads[name] += t
         d_xmid, dgain, dbias = ops.layer_norm_backward(
-            g_ln2, lc["x_mid"], params[lp + "ln_ffn.gain"], LN_EPS)
+            g_ln2, lc["ln_ffn"], params[lp + "ln_ffn.gain"])
         grads[lp + "ln_ffn.gain"] += dgain
         grads[lp + "ln_ffn.bias"] += dbias
         g_x = g_x + d_xmid
@@ -454,12 +449,12 @@ def encoder_backward(g_logits: np.ndarray, cache: dict, grads: dict) -> None:
         if i == 0 and P is not None:
             g_ln1 = P.T @ g_xq + g_xkv
             d_xin, dgain, dbias = ops.layer_norm_backward(
-                g_ln1, lc["x_in"], params[lp + "ln_attn.gain"], LN_EPS)
+                g_ln1, lc["ln_attn"], params[lp + "ln_attn.gain"])
             g_x = P.T @ g_x + d_xin
         else:
             g_ln1 = g_xq + g_xkv
             d_xin, dgain, dbias = ops.layer_norm_backward(
-                g_ln1, lc["x_in"], params[lp + "ln_attn.gain"], LN_EPS)
+                g_ln1, lc["ln_attn"], params[lp + "ln_attn.gain"])
             g_x = g_x + d_xin
         grads[lp + "ln_attn.gain"] += dgain
         grads[lp + "ln_attn.bias"] += dbias

@@ -8,6 +8,7 @@ oracle the adjoints are validated against.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -33,14 +34,17 @@ def matmul_backward(g: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis with max subtraction for overflow safety."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    out = x - x.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def softmax_rows_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Adjoint of softmax_rows given its output y."""
-    return y * (g - np.sum(g * y, axis=-1, keepdims=True))
+    out = g - (g * y).sum(axis=-1, keepdims=True)
+    out *= y
+    return out
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -61,28 +65,34 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-               eps: float = 1e-12) -> np.ndarray:
-    """Per-row normalization (population variance) followed by affine."""
+               eps: float = 1e-12):
+    """Per-row normalization (population variance) followed by affine.
+
+    Returns (y, cache); the cache holds the normalized rows and their
+    standard deviations for ``layer_norm_backward``.  The sums divided by D
+    are the reductions ``x.mean``/``x.var`` perform, bit for bit.
+    """
     if eps <= 0:
         raise ParamError(f"layer_norm: eps must be > 0, got {eps}")
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + eps)
-    return xhat * gain + bias
+    D = x.shape[1]
+    xhat = x - x.sum(axis=1, keepdims=True) / D
+    s = np.sqrt((xhat * xhat).sum(axis=1, keepdims=True) / D + eps)
+    xhat /= s
+    y = xhat * gain
+    y += bias
+    return y, (xhat, s)
 
 
-def layer_norm_backward(g: np.ndarray, x: np.ndarray, gain: np.ndarray,
-                        eps: float = 1e-12):
-    """Adjoint of layer_norm; returns (dx, dgain, dbias)."""
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    s = np.sqrt(var + eps)
-    xhat = (x - mu) / s
+def layer_norm_backward(g: np.ndarray, cache, gain: np.ndarray):
+    """Adjoint of layer_norm given its cache; returns (dx, dgain, dbias)."""
+    xhat, s = cache
+    D = xhat.shape[1]
     gg = g * gain
     dgain = np.sum(g * xhat, axis=0)
     dbias = np.sum(g, axis=0)
-    dx = (gg - gg.mean(axis=1, keepdims=True)
-          - xhat * np.mean(gg * xhat, axis=1, keepdims=True)) / s
+    dx = gg - gg.sum(axis=1, keepdims=True) / D
+    dx -= xhat * ((gg * xhat).sum(axis=1, keepdims=True) / D)
+    dx /= s
     return dx, dgain, dbias
 
 
@@ -98,19 +108,31 @@ def mean_pool_rows(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def dropout_mask(shape, p: float, rng: Rng, training: bool):
-    """Multiplicative dropout mask (0 or 1/(1-p)), or None when inactive."""
+    """Boolean keep-mask (True with probability 1 - p), or None when inactive.
+
+    Equals ``rng.uniform(size=shape) >= p`` bit for bit and draws the same
+    stream: a Philox double is ``(raw >> 11) * 2**-53``, so it is >= p
+    exactly when ``raw >> 11 >= ceil(p * 2**53)``.
+    """
     if not 0.0 <= p < 1.0:
         raise ParamError(f"dropout: p must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return None
-    keep = rng.uniform(size=shape) >= p
-    return keep.astype(np.float64) / (1.0 - p)
+    return rng.random_raw(shape) >= np.uint64(math.ceil(p * 2.0**53) << 11)
+
+
+def apply_dropout(x: np.ndarray, keep: np.ndarray, p: float, out=None) -> np.ndarray:
+    """``x * (keep / (1 - p))`` bit for bit, signed zeros included; pass
+    ``out=x`` to scale a fresh array in place."""
+    out = np.multiply(x, 1.0 / (1.0 - p), out=out)
+    out *= keep
+    return out
 
 
 def dropout(x: np.ndarray, p: float, rng: Rng, training: bool) -> np.ndarray:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
-    mask = dropout_mask(x.shape, p, rng, training)
-    return x if mask is None else x * mask
+    keep = dropout_mask(x.shape, p, rng, training)
+    return x if keep is None else apply_dropout(x, keep, p)
 
 
 def cross_entropy_logits(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
@@ -125,7 +147,7 @@ def cross_entropy_logits(logits: np.ndarray, targets) -> tuple[float, np.ndarray
     p = softmax_rows(logits)
     rows = np.arange(m)
     loss = float(-np.log(p[rows, targets]).mean())
-    grad = p.copy()
+    grad = p
     grad[rows, targets] -= 1.0
     grad /= m
     return loss, grad

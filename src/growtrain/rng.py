@@ -53,6 +53,11 @@ class Rng:
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size)
 
+    def random_raw(self, size=None):
+        """Raw uint64 Philox outputs; ``uniform(size=size)`` consumes the
+        stream identically and returns ``(raw >> 11) * 2**-53``."""
+        return self._gen.bit_generator.random_raw(size)
+
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self._gen.normal(loc, scale, size)
 

@@ -25,9 +25,16 @@ from .rng import Rng
 class Stage:
     steps: int
     ops_at_start: tuple = ()
-    train_len: int = 0
-    masks_per_seq: int = 0
+    train_len: int = 0       # 0: keep the previous stage's length
+    masks_per_seq: int = 0   # 0: keep the previous stage's mask count
     batch_size: int = 16
+
+
+def stage_data(stage: Stage, dc: DataConfig) -> DataConfig:
+    """The data shape a stage trains at, given the shape it inherits (the
+    previous stage's, after this stage's growth ops)."""
+    return replace(dc, train_len=stage.train_len or dc.train_len,
+                   masks_per_seq=stage.masks_per_seq or dc.masks_per_seq)
 
 
 @dataclass(frozen=True)
@@ -36,37 +43,42 @@ class Schedule:
     model0: ModelConfig
     data0: DataConfig
 
+    def resolved(self):
+        """Yield (stage, model config, data config) per stage, with the growth
+        ops applied and the data shape resolved by ``stage_data``."""
+        config, dc = self.model0, self.data0
+        for stage in self.stages:
+            for op in stage.ops_at_start:
+                config, dc = growth.apply_to_config(op, config, dc)
+            dc = stage_data(stage, dc)
+            yield stage, config, dc
+
     def validate(self, final_config: ModelConfig | None = None) -> None:
         if not self.stages:
             raise ValidationError("schedule has no stages")
         if self.stages[0].ops_at_start:
             raise ValidationError("stage 0 must not carry growth ops")
-        config, dc = self.model0, self.data0
-        config.validate()
-        dc.validate()
-        for t, stage in enumerate(self.stages):
+        self.model0.validate()
+        self.data0.validate()
+        for t, (stage, config, dc) in enumerate(self.resolved()):
             if stage.steps < 1:
                 raise ValidationError(f"stage {t}: steps must be >= 1")
-            for op in stage.ops_at_start:
-                config, dc = growth.apply_to_config(op, config, dc)
-            if stage.train_len > config.N_max:
+            try:
+                dc.validate()
+            except ValidationError as exc:
+                raise ValidationError(f"stage {t}: {exc}") from None
+            if dc.train_len > config.N_max:
                 raise ValidationError(
-                    f"stage {t}: train_len {stage.train_len} exceeds N_max")
+                    f"stage {t}: train_len {dc.train_len} exceeds N_max")
         if final_config is not None and config != final_config:
             raise ValidationError(
                 f"composed ops end at {config}, declared final is {final_config}")
 
     def stage_plans(self) -> list[StagePlan]:
         """Per-stage (config, data shape) sequence for the cost model."""
-        plans = []
-        config, dc = self.model0, self.data0
-        for stage in self.stages:
-            for op in stage.ops_at_start:
-                config, dc = growth.apply_to_config(op, config, dc)
-            plans.append(StagePlan(steps=stage.steps, config=config,
-                                   train_len=stage.train_len,
-                                   masks_per_seq=stage.masks_per_seq))
-        return plans
+        return [StagePlan(steps=stage.steps, config=config, train_len=dc.train_len,
+                          masks_per_seq=dc.masks_per_seq)
+                for stage, config, dc in self.resolved()]
 
     def final_config(self) -> ModelConfig:
         return self.stage_plans()[-1].config
@@ -209,9 +221,7 @@ def run_schedule(schedule: Schedule, seed: int, out_dir=None,
             opt_state.shape_audit(params)
             result.params, result.config, result.data_config = params, config, dc
             write_ckpt(f"stage{t}_postgrowth", t, stage.ops_at_start)
-        dc = replace(dc, train_len=stage.train_len or dc.train_len,
-                     masks_per_seq=stage.masks_per_seq or dc.masks_per_seq)
-        dc.validate()
+        dc = stage_data(stage, dc)
         result.data_config = dc
         warmup = stage_warmup(stage.steps, opt_cfg)
         batches = iter_batches(corpus, stage.batch_size, dc,
@@ -222,6 +232,7 @@ def run_schedule(schedule: Schedule, seed: int, out_dir=None,
             loss, grads = mlm_loss(batch, params, config, step_rng, training=True)
             lr = lr_at(i, stage.steps, warmup, opt_cfg.peak_lr)
             optimizer_step(params, grads, opt_state, lr, opt_cfg)
+            del grads  # free before the next step allocates its own
             if i % log_every == 0 or i == stage.steps - 1:
                 result.loss_log.append((global_step, t, lr, loss))
             global_step += 1

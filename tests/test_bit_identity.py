@@ -1,0 +1,58 @@
+"""Fast bit-identity guard for the training numerics.
+
+A two-stage desk-shaped compound schedule (pooled, shared FFN, then
+``unshare,unpool``) trains a few steps with dropout on.  The loss log and a
+sha256 of the final parameters must equal the pinned values exactly: a change
+meant only to make the program faster fails here in seconds if it moves any
+bit of any result.  The pins were captured from the code before the
+raw-bit dropout masks, cached layer-norm statistics and in-place softmax
+landed; see CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+
+from growtrain.data import DataConfig
+from growtrain.growth import Unpool, UnshareFFN
+from growtrain.model import ModelConfig
+from growtrain.train import OptimizerConfig, Schedule, Stage, run_schedule
+
+PINNED_LOSSES = [
+    4.159280306257447, 4.155469226070121, 4.145699548319687, 4.1842151362628766,
+    4.11508297094565, 3.9362721430223595, 4.027537265085091, 4.203274035181825,
+]
+PINNED_PARAMS_SHA256 = "c737812c7fd4dbb47e07c21f197830d4f53c44fe938605257d02d0965e10effb"
+
+
+def guard_schedule() -> Schedule:
+    model0 = ModelConfig(L=2, D=32, H=64, M=2, N_max=128, V=64, dropout_p=0.1,
+                         ffn_mode="shared", ffn_k=2, pool_k=2)
+    data0 = DataConfig(V=64, corpus_size=16, seq_len_full=128, train_len=128,
+                       masks_per_seq=19)
+    stages = (
+        Stage(steps=4, train_len=128, masks_per_seq=19, batch_size=4),
+        Stage(steps=4, ops_at_start=(UnshareFFN(), Unpool()), train_len=128,
+              masks_per_seq=19, batch_size=4),
+    )
+    return Schedule(stages=stages, model0=model0, data0=data0)
+
+
+def params_sha256(params: dict) -> str:
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(params[name], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def run_guard():
+    result = run_schedule(guard_schedule(), seed=5, log_every=1,
+                          opt_cfg=OptimizerConfig(peak_lr=2e-2, warmup=1))
+    return [loss for _, _, _, loss in result.loss_log], params_sha256(result.params)
+
+
+def test_training_numerics_are_bit_identical_to_pins():
+    losses, digest = run_guard()
+    assert losses == PINNED_LOSSES
+    assert digest == PINNED_PARAMS_SHA256

@@ -156,3 +156,40 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli(["plan"])
         assert exc.value.code == 2
+
+
+class TestMalformedCheckpoint:
+    """A damaged checkpoint ends ``eval`` with exit code 1 and an
+    ``error:`` line, not a traceback."""
+
+    @pytest.fixture
+    def final(self, small_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli(["train", "-c", str(small_config), "-o", str(out)]) == 0
+        capsys.readouterr()
+        return out / "final"
+
+    def _eval_fails(self, final, small_config, capsys):
+        assert cli(["eval", "--ckpt", str(final), "-c", str(small_config)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_manifest_not_json(self, final, small_config, capsys):
+        (final / "manifest.json").write_text('{"format_version": 1, "tens')
+        self._eval_fails(final, small_config, capsys)
+
+    def test_manifest_without_tensors(self, final, small_config, capsys):
+        doc = json.loads((final / "manifest.json").read_text())
+        del doc["tensors"]
+        (final / "manifest.json").write_text(json.dumps(doc))
+        self._eval_fails(final, small_config, capsys)
+
+    def test_missing_blob(self, final, small_config, capsys):
+        (final / "tensors.bin").unlink()
+        self._eval_fails(final, small_config, capsys)
+
+    @pytest.mark.parametrize("field", ["name", "shape", "byte_offset", "element_count"])
+    def test_entry_without_field(self, final, small_config, capsys, field):
+        doc = json.loads((final / "manifest.json").read_text())
+        del doc["tensors"][1][field]
+        (final / "manifest.json").write_text(json.dumps(doc))
+        self._eval_fails(final, small_config, capsys)

@@ -206,7 +206,57 @@ class TestAttention:
             assert ops.finite_diff_check(loss_w, params[name], grad) <= 1e-5
 
 
+def build_pooling_by_loop(n, masked_positions, k):
+    """Run-by-run construction of the pooling map, the oracle for the
+    vectorized ``build_pooling``."""
+    masked = list(masked_positions)
+    is_masked = np.zeros(n, dtype=bool)
+    is_masked[masked] = True
+    groups, pooled_of_pos, run = [], {}, []
+
+    def flush_run():
+        for s in range(0, len(run), k):
+            groups.append(run[s:s + k])
+        run.clear()
+
+    for pos in range(n):
+        if is_masked[pos]:
+            flush_run()
+            pooled_of_pos[pos] = len(groups)
+            groups.append([pos])
+        else:
+            run.append(pos)
+    flush_run()
+    P = np.zeros((len(groups), n))
+    for row, members in enumerate(groups):
+        P[row, members] = 1.0 / len(members)
+    return P, np.array([pooled_of_pos[p] for p in masked], dtype=np.int64)
+
+
+def pooling_mask_sets(n, rng):
+    """None, all, both ends, an adjacent pair, and random sorted subsets."""
+    sets = [[], list(range(n)), [0], [n - 1], sorted({0, n - 1})]
+    if n >= 3:
+        sets.append([n // 2 - 1, n // 2] if n >= 4 else [0, 1])
+        sets.append([0, 1, n - 2, n - 1] if n >= 4 else [0, 1, 2])
+    for _ in range(4):
+        m = int(rng.integers(1, n + 1))
+        sets.append(sorted(rng.choice(n, size=m, replace=False).tolist()))
+    return sets
+
+
 class TestPooling:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_loop_oracle(self, k):
+        rng = Rng(30 + k)
+        for n in range(1, 41):
+            for masked in pooling_mask_sets(n, rng):
+                P, pooled = build_pooling(n, masked, k)
+                ref_P, ref_pooled = build_pooling_by_loop(n, masked, k)
+                npt.assert_array_equal(P, ref_P)
+                npt.assert_array_equal(pooled, ref_pooled)
+                assert pooled.dtype == np.int64
+
     def test_no_masks_plain_windows(self):
         P, pooled = build_pooling(8, [], 2)
         assert P.shape == (4, 8)

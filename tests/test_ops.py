@@ -84,12 +84,12 @@ class TestGelu:
 
 class TestLayerNorm:
     def test_zero_variance_collapses_to_bias(self):
-        out = ops.layer_norm(np.ones((1, 3)), np.ones(3), np.zeros(3))
+        out, _ = ops.layer_norm(np.ones((1, 3)), np.ones(3), np.zeros(3))
         npt.assert_allclose(out, 0.0, atol=1e-5)
 
     def test_already_normalized(self):
-        out = ops.layer_norm(np.array([[-1.0, 1.0]]), np.ones(2), np.zeros(2),
-                             eps=1e-15)
+        out, _ = ops.layer_norm(np.array([[-1.0, 1.0]]), np.ones(2), np.zeros(2),
+                                eps=1e-15)
         npt.assert_allclose(out, [[-1.0, 1.0]], atol=1e-7)
 
     def test_eps_must_be_positive(self):
@@ -102,18 +102,45 @@ class TestLayerNorm:
         gain = rng.uniform(0.5, 1.5, 4)
         bias = rng.uniform(-0.5, 0.5, 4)
         g = rng.uniform(-1, 1, (2, 4))
-        dx, dgain, dbias = ops.layer_norm_backward(g, x, gain)
+        _, cache = ops.layer_norm(x, gain, bias)
+        dx, dgain, dbias = ops.layer_norm_backward(g, cache, gain)
 
         def loss(z, gn=gain, b=bias):
-            return float((ops.layer_norm(z, gn, b) * g).sum())
+            return float((ops.layer_norm(z, gn, b)[0] * g).sum())
 
         assert ops.finite_diff_check(loss, x, dx) <= 1e-6
         assert ops.finite_diff_check(
-            lambda gn: float((ops.layer_norm(x, gn, bias) * g).sum()), gain,
+            lambda gn: float((ops.layer_norm(x, gn, bias)[0] * g).sum()), gain,
             dgain) <= 1e-6
         assert ops.finite_diff_check(
-            lambda b: float((ops.layer_norm(x, gain, b) * g).sum()), bias,
+            lambda b: float((ops.layer_norm(x, gain, b)[0] * g).sum()), bias,
             dbias) <= 1e-6
+
+
+def layer_norm_by_mean_var(x, gain, bias, eps=1e-12):
+    """The np.mean/np.var formulation layer_norm replaced: (y, xhat, s)."""
+    mu = x.mean(axis=1, keepdims=True)
+    s = np.sqrt(x.var(axis=1, keepdims=True) + eps)
+    xhat = (x - mu) / s
+    return xhat * gain + bias, xhat, s
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5, 8, 31, 32, 33, 64, 127, 256])
+def test_layer_norm_bit_identical_to_mean_var(D):
+    rng = Rng(40 + D)
+    x = rng.normal(0.3, 2.0, (7, D))
+    gain, bias = rng.uniform(0.5, 1.5, D), rng.uniform(-0.5, 0.5, D)
+    g = rng.uniform(-1, 1, (7, D))
+    y, cache = ops.layer_norm(x, gain, bias)
+    ref_y, xhat, s = layer_norm_by_mean_var(x, gain, bias)
+    npt.assert_array_equal(y, ref_y)
+    dx, dgain, dbias = ops.layer_norm_backward(g, cache, gain)
+    gg = g * gain
+    ref_dx = (gg - gg.mean(axis=1, keepdims=True)
+              - xhat * np.mean(gg * xhat, axis=1, keepdims=True)) / s
+    npt.assert_array_equal(dx, ref_dx)
+    npt.assert_array_equal(dgain, np.sum(g * xhat, axis=0))
+    npt.assert_array_equal(dbias, np.sum(g, axis=0))
 
 
 class TestMeanPoolRows:
@@ -162,6 +189,42 @@ class TestDropout:
         a = ops.dropout(x, 0.3, Rng(9).fork("d"), True)
         b = ops.dropout(x, 0.3, Rng(9).fork("d"), True)
         npt.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.3, 1 / 3, 0.5, 0.9, 1 - 2.0**-53])
+    @pytest.mark.parametrize("shape", [(1,), (1000,), (7, 13), (2, 128, 128), (3, 5, 4)])
+    def test_mask_equals_uniform_threshold(self, p, shape):
+        """The raw-bit keep-mask equals ``uniform >= p`` and leaves the
+        stream where ``uniform`` leaves it."""
+        a, b = Rng(21).fork("drop"), Rng(21).fork("drop")
+        keep = ops.dropout_mask(shape, p, a, True)
+        assert keep.dtype == bool and keep.shape == shape
+        npt.assert_array_equal(keep, b.uniform(size=shape) >= p)
+        npt.assert_array_equal(a.uniform(size=4), b.uniform(size=4))
+
+    def test_mask_at_uniform_boundary(self):
+        """A draw of exactly p is kept, the double just below p is not."""
+        p = 0.3
+        c = math.ceil(p * 2.0**53)
+        raw = np.array([c << 11, (c << 11) - 1, ((c - 1) << 11) + 2047], dtype=np.uint64)
+
+        class FixedRaw:
+            def random_raw(self, size):
+                return raw
+
+        keep = ops.dropout_mask(raw.shape, p, FixedRaw(), True)
+        npt.assert_array_equal(keep, (raw >> 11) * 2.0**-53 >= p)
+        npt.assert_array_equal(keep, [True, False, False])
+
+    @pytest.mark.parametrize("p", [0.1, 1 / 3, 0.9])
+    def test_dropout_equals_float_mask_product(self, p):
+        """``x * keep * 1/(1-p)`` equals the product with the float mask
+        ``keep / (1-p)`` bit for bit, signed zeros included."""
+        x = Rng(22).normal(0.0, 3.0, (6, 50))
+        out = ops.dropout(x, p, Rng(23).fork("d"), True)
+        keep = Rng(23).fork("d").uniform(size=x.shape) >= p
+        ref = x * (keep / (1.0 - p))
+        assert out.tobytes() == ref.tobytes()
+        assert np.signbit(out[~keep]).any() and not np.signbit(out[~keep]).all()
 
 
 class TestCrossEntropy:
@@ -239,6 +302,6 @@ def test_all_adjoints_on_random_inputs(seed):
 
     gain = rng.uniform(0.5, 1.5, 5)
     bias = rng.uniform(-0.5, 0.5, 5)
-    dx, _, _ = ops.layer_norm_backward(gs, x, gain)
+    dx, _, _ = ops.layer_norm_backward(gs, ops.layer_norm(x, gain, bias)[1], gain)
     assert ops.finite_diff_check(
-        lambda z: float((ops.layer_norm(z, gain, bias) * gs).sum()), x, dx) <= 1e-5
+        lambda z: float((ops.layer_norm(z, gain, bias)[0] * gs).sum()), x, dx) <= 1e-5

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from growtrain.checkpoint import load_checkpoint
+from growtrain.costs import schedule_cost
 from growtrain.data import DataConfig, gen_corpus
 from growtrain.errors import InputError, StateError, ValidationError
 from growtrain.growth import StackDepth, UnshareFFN, Unpool
@@ -145,6 +146,28 @@ class TestScheduleValidation:
         assert len(base) == 1
         assert base[0].steps == sum(s.steps for s in sched.stages)
         assert base[0].config == sched.final_config()
+
+    def test_defaulted_stage_plans_at_inherited_shape(self):
+        """A stage that leaves train_len/masks_per_seq at 0 is costed at the
+        shape run_schedule trains it at: the previous stage's."""
+        sched = tiny_schedule(stages=(
+            Stage(steps=2),
+            Stage(steps=2, ops_at_start=(UnshareFFN(),), train_len=12,
+                  masks_per_seq=2),
+            Stage(steps=2, ops_at_start=(StackDepth(2),)),
+        ))
+        sched.validate()
+        shapes = [(p.train_len, p.masks_per_seq) for p in sched.stage_plans()]
+        assert shapes == [(16, 3), (12, 2), (12, 2)]
+        report = schedule_cost(sched.stage_plans(), sched.baseline_plans())
+        assert report.total > 0
+        result = run_schedule(sched, seed=0)
+        assert (result.data_config.train_len, result.data_config.masks_per_seq) == (12, 2)
+
+    def test_resolved_data_shape_validated(self):
+        sched = tiny_schedule(stages=(Stage(steps=2, masks_per_seq=16),))
+        with pytest.raises(ValidationError, match="stage 0: masks_per_seq"):
+            sched.validate()
 
 
 class TestRunSchedule:
