@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,10 +37,13 @@ class Checkpoint:
     extra: dict = field(default_factory=dict)
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+@contextmanager
+def _atomic_open(path: Path):
+    """A binary file written as ``path.tmp`` and renamed over ``path`` once
+    it is complete."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        yield fh
     os.replace(tmp, path)
 
 
@@ -49,15 +53,16 @@ def save_checkpoint(path, params: dict, model_config: ModelConfig,
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     index = []
-    chunks = []
     offset = 0
-    for name in sorted(params):
-        t = params[name]
-        raw = np.ascontiguousarray(t, dtype="<f8").tobytes()
-        index.append({"name": name, "shape": list(t.shape),
-                      "byte_offset": offset, "element_count": int(t.size)})
-        chunks.append(raw)
-        offset += len(raw)
+    with _atomic_open(path / BLOB_NAME) as fh:
+        for name in sorted(params):
+            # a C-contiguous little-endian float64 tensor is written from
+            # its own buffer, without a bytes copy
+            t = np.ascontiguousarray(params[name], dtype="<f8")
+            index.append({"name": name, "shape": list(t.shape),
+                          "byte_offset": offset, "element_count": int(t.size)})
+            fh.write(t)
+            offset += t.nbytes
     manifest = {
         "format_version": FORMAT_VERSION,
         "model_config": model_config.to_dict(),
@@ -68,9 +73,8 @@ def save_checkpoint(path, params: dict, model_config: ModelConfig,
         "extra": extra or {},
         "tensors": index,
     }
-    _atomic_write(path / BLOB_NAME, b"".join(chunks))
-    _atomic_write(path / MANIFEST_NAME,
-                  json.dumps(manifest, indent=1, sort_keys=True).encode())
+    with _atomic_open(path / MANIFEST_NAME) as fh:
+        fh.write(json.dumps(manifest, indent=1, sort_keys=True).encode())
 
 
 _MANIFEST_KEYS = ("model_config", "data_config", "stage_index", "global_step",
@@ -106,33 +110,37 @@ def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     manifest = _read_manifest(path)
     try:
-        blob = (path / BLOB_NAME).read_bytes()
+        fh = open(path / BLOB_NAME, "rb")
     except FileNotFoundError:
         raise IntegrityError(f"{path}: no {BLOB_NAME}") from None
 
     params = {}
-    expected_offset = 0
-    name = None
-    for entry in manifest["tensors"]:
-        name = entry["name"]
-        shape = tuple(entry["shape"])
-        count = entry["element_count"]
-        if entry["byte_offset"] != expected_offset:
-            raise IntegrityError(
-                f"tensor {name!r}: offset {entry['byte_offset']} leaves a "
-                f"gap or overlap (expected {expected_offset})")
-        if count != int(np.prod(shape, dtype=np.int64)):
-            raise IntegrityError(f"tensor {name!r}: element count does not match shape")
-        nbytes = count * 8
-        if expected_offset + nbytes > len(blob):
-            raise IntegrityError(f"tensor {name!r}: blob truncated")
-        params[name] = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=expected_offset
-        ).astype(np.float64).reshape(shape)
-        expected_offset += nbytes
-    if expected_offset != len(blob):
+    with fh:
+        blob_size = os.fstat(fh.fileno()).st_size
+        expected_offset = 0
+        name = None
+        for entry in manifest["tensors"]:
+            name = entry["name"]
+            shape = tuple(entry["shape"])
+            count = entry["element_count"]
+            if entry["byte_offset"] != expected_offset:
+                raise IntegrityError(
+                    f"tensor {name!r}: offset {entry['byte_offset']} leaves a "
+                    f"gap or overlap (expected {expected_offset})")
+            if count != int(np.prod(shape, dtype=np.int64)):
+                raise IntegrityError(f"tensor {name!r}: element count does not match shape")
+            nbytes = count * 8
+            if expected_offset + nbytes > blob_size:
+                raise IntegrityError(f"tensor {name!r}: blob truncated")
+            # each tensor is read once, straight into the array it lives in
+            t = np.empty(shape, dtype="<f8")
+            if fh.readinto(t) != nbytes:
+                raise IntegrityError(f"tensor {name!r}: short read from {BLOB_NAME}")
+            params[name] = t
+            expected_offset += nbytes
+    if expected_offset != blob_size:
         raise IntegrityError(
-            f"blob has {len(blob) - expected_offset} trailing bytes after the "
+            f"blob has {blob_size - expected_offset} trailing bytes after the "
             f"last tensor {name!r}")
 
     model_config = ModelConfig.from_dict(manifest["model_config"])

@@ -1,9 +1,11 @@
 """Growth operators applied between training stages.
 
-Each operator maps (params, config, data_config) to a fresh, larger state;
-inputs are never mutated.  UnshareFFN and DefactorizeFFN are exactly
-output-preserving; StackDepth and Unpool change the computed function and
-are verified report-only.
+Each operator maps (params, config, data_config) to a larger state; inputs
+are never mutated.  The operator functions return dicts that still reference
+the input tensors they leave unchanged; ``apply`` returns tensors that share
+memory with neither its input nor each other.  UnshareFFN and DefactorizeFFN
+are exactly output-preserving; StackDepth and Unpool change the computed
+function and are verified report-only.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ PRESERVING_OPS = (UnshareFFN, DefactorizeFFN)
 _ORDER = {StackDepth: 0, UnshareFFN: 1, DefactorizeFFN: 1, Unpool: 2, ExtendLength: 2}
 
 
-def _copy_params(params: dict) -> dict:
-    return {name: t.copy() for name, t in params.items()}
-
-
 def grow_depth_stack(params: dict, config: ModelConfig, target_L: int):
     """Repeat the trained layer stack: new layer l copies source layer l mod L."""
     if target_L < config.L or target_L % config.L != 0:
@@ -65,13 +63,13 @@ def grow_depth_stack(params: dict, config: ModelConfig, target_L: int):
     layer_keys = [k for k in params if k.startswith("layer")]
     for name, t in params.items():
         if not name.startswith("layer"):
-            new_params[name] = t.copy()
+            new_params[name] = t
     for i in range(target_L):
         src = i % config.L
         src_prefix = f"layer{src}."
         for name in layer_keys:
             if name.startswith(src_prefix):
-                new_params[f"layer{i}." + name[len(src_prefix):]] = params[name].copy()
+                new_params[f"layer{i}." + name[len(src_prefix):]] = params[name]
     return new_params, config.with_(L=target_L)
 
 
@@ -87,7 +85,7 @@ def grow_ffn_unshare(params: dict, config: ModelConfig):
         elif name.endswith("ffn.w2s"):
             new_params[name[:-len("w2s")] + "w2"] = np.concatenate([t / k] * k, axis=0)
         else:
-            new_params[name] = t.copy()
+            new_params[name] = t
     return new_params, config.with_(ffn_mode="full", ffn_k=1)
 
 
@@ -104,7 +102,7 @@ def grow_ffn_defactorize(params: dict, config: ModelConfig):
     factor_suffixes = ("ffn.w11", "ffn.w12", "ffn.w21", "ffn.w22")
     for name, t in params.items():
         if not name.endswith(factor_suffixes):
-            new_params[name] = t.copy()
+            new_params[name] = t
     return new_params, config.with_(ffn_mode="full", ffn_h=0)
 
 
@@ -112,7 +110,7 @@ def grow_remove_pooling(params: dict, config: ModelConfig):
     """Drop the query-pooling stage; every parameter is bit-identical."""
     if config.pool_k <= 1:
         raise StateError("unpool requires pool_k > 1")
-    return _copy_params(params), config.with_(pool_k=1)
+    return dict(params), config.with_(pool_k=1)
 
 
 def extend_length(data_config, new_train_len: int, new_masks_per_seq: int):
@@ -158,22 +156,45 @@ def apply_to_config(op: GrowthOp, config: ModelConfig, data_config):
 def apply(ops_list, params: dict, config: ModelConfig, data_config):
     """Apply a list of growth ops in the fixed depth, width, length order."""
     ordered = sorted(ops_list, key=lambda op: _ORDER[type(op)])
-    params = _copy_params(params)
+    grown = params
     for op in ordered:
         if isinstance(op, StackDepth):
-            params, config = grow_depth_stack(params, config, op.target_L)
+            grown, config = grow_depth_stack(grown, config, op.target_L)
         elif isinstance(op, UnshareFFN):
-            params, config = grow_ffn_unshare(params, config)
+            grown, config = grow_ffn_unshare(grown, config)
         elif isinstance(op, DefactorizeFFN):
-            params, config = grow_ffn_defactorize(params, config)
+            grown, config = grow_ffn_defactorize(grown, config)
         elif isinstance(op, Unpool):
-            params, config = grow_remove_pooling(params, config)
+            grown, config = grow_remove_pooling(grown, config)
         elif isinstance(op, ExtendLength):
             data_config = extend_length(data_config, op.new_train_len,
                                         op.new_masks_per_seq)
         else:
             raise ParamError(f"unknown growth op {op!r}")
-    return params, config, data_config
+    return _owned(grown, params), config, data_config
+
+
+def _memory_owner(t: np.ndarray) -> int:
+    """Identity of the buffer a tensor's memory belongs to."""
+    while isinstance(t.base, np.ndarray):
+        t = t.base
+    return id(t if t.base is None else t.base)
+
+
+def _owned(grown: dict, inputs: dict) -> dict:
+    """Copy exactly the grown tensors whose memory belongs to an input
+    tensor or to a tensor already kept under another name (``stack``
+    repeats source layers); every other tensor is new and is kept as is."""
+    taken = {_memory_owner(t) for t in inputs.values()}
+    out = {}
+    for name, t in grown.items():
+        owner = _memory_owner(t)
+        if owner in taken:
+            t = t.copy()
+            owner = id(t)
+        taken.add(owner)
+        out[name] = t
+    return out
 
 
 # ---------------------------------------------------------------------------

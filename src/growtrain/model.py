@@ -471,11 +471,14 @@ def encoder_forward(token_ids, masked_positions, params: dict, config: ModelConf
     return logits, hidden
 
 
-def mlm_loss(batch, params: dict, config: ModelConfig, rng: Rng, training: bool):
+def mlm_loss(batch, params: dict, config: ModelConfig, rng: Rng, training: bool,
+             grads: dict | None = None):
     """Mean cross-entropy over all masked positions in the batch.
 
     ``batch`` is (ids, masked_positions, targets) with shapes (B, n), (B, m),
-    (B, m).  Returns (loss, gradient dict shaped like Params).
+    (B, m).  Returns (loss, gradient dict shaped like Params).  A ``grads``
+    dict from an earlier call (see ``zero_grads``) is zeroed, filled and
+    returned in place of a new one.
     """
     ids, masked, targets = batch
     ids = np.asarray(ids, dtype=np.int64)
@@ -485,7 +488,11 @@ def mlm_loss(batch, params: dict, config: ModelConfig, rng: Rng, training: bool)
     if masked.size == 0:
         raise InputError("mlm_loss: batch has no masked positions")
     total = 0.0
-    grads = zero_grads(params)
+    if grads is None:
+        grads = zero_grads(params)
+    else:
+        for g in grads.values():
+            g.fill(0.0)
     for j in range(B):
         logits, _, cache = encoder_apply(ids[j], masked[j], params, config,
                                          rng.fork(f"seq{j}"), training)

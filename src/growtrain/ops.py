@@ -96,17 +96,6 @@ def layer_norm_backward(g: np.ndarray, cache, gain: np.ndarray):
     return dx, dgain, dbias
 
 
-def mean_pool_rows(x: np.ndarray, k: int) -> np.ndarray:
-    """Average consecutive groups of k rows; a short final group of r rows
-    (r = m mod k) is averaged over r."""
-    if k < 1:
-        raise ParamError(f"mean_pool_rows: k must be >= 1, got {k}")
-    if k == 1:
-        return x.copy()
-    m = x.shape[0]
-    return np.stack([x[i:i + k].mean(axis=0) for i in range(0, m, k)])
-
-
 def dropout_mask(shape, p: float, rng: Rng, training: bool):
     """Boolean keep-mask (True with probability 1 - p), or None when inactive.
 

@@ -107,6 +107,8 @@ class OptimizerState:
     m: dict
     v: dict
     step: int = 0
+    # two tensors' worth of temporaries for optimizer_step, reused every step
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
 
     @staticmethod
     def fresh(params: dict) -> "OptimizerState":
@@ -137,25 +139,44 @@ def lr_at(step_in_stage: int, stage_steps: int, warmup: int, peak: float) -> flo
 
 def optimizer_step(params: dict, grads: dict, state: OptimizerState, lr: float,
                    cfg: OptimizerConfig):
-    """Decoupled-weight-decay AdamW with bias correction; updates in place."""
+    """Decoupled-weight-decay AdamW with bias correction; updates in place.
+
+    The temporaries live in ``state.scratch``; each operation is the one of
+    ``update = (m/bc1) / (sqrt(v/bc2) + eps) [+ wd*p]; p -= lr*update``, in
+    that order, so the result is the same to the bit.
+    """
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
+    largest = max((p.size for p in params.values()), default=0)
+    if state.scratch.size < 2 * largest:
+        state.scratch = np.empty(2 * largest)
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise StateError(f"gradient shape mismatch for {name!r}")
         m = state.m[name]
         v = state.v[name]
+        update = state.scratch[:p.size].reshape(p.shape)
+        tmp = state.scratch[largest:largest + p.size].reshape(p.shape)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+        m += tmp
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.eps
+        np.divide(m, bc1, out=update)
+        update /= tmp
         if cfg.weight_decay and _decayed(name):
-            update = update + cfg.weight_decay * p
-        p -= lr * update
+            np.multiply(p, cfg.weight_decay, out=tmp)
+            update += tmp
+        update *= lr
+        p -= update
     return params, state
 
 
@@ -226,16 +247,18 @@ def run_schedule(schedule: Schedule, seed: int, out_dir=None,
         warmup = stage_warmup(stage.steps, opt_cfg)
         batches = iter_batches(corpus, stage.batch_size, dc,
                                root.fork(f"stage{t}.data"))
+        grads = None  # made by the stage's first step, refilled by the others
         for i in range(stage.steps):
             batch = next(batches)
             step_rng = root.fork(f"stage{t}.step{i}")
-            loss, grads = mlm_loss(batch, params, config, step_rng, training=True)
+            loss, grads = mlm_loss(batch, params, config, step_rng, training=True,
+                                   grads=grads)
             lr = lr_at(i, stage.steps, warmup, opt_cfg.peak_lr)
             optimizer_step(params, grads, opt_state, lr, opt_cfg)
-            del grads  # free before the next step allocates its own
             if i % log_every == 0 or i == stage.steps - 1:
                 result.loss_log.append((global_step, t, lr, loss))
             global_step += 1
+        del grads  # free before the boundary checkpoint and growth
 
     write_ckpt("final", len(schedule.stages) - 1)
     if out is not None:

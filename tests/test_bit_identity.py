@@ -6,7 +6,10 @@ sha256 of the final parameters must equal the pinned values exactly: a change
 meant only to make the program faster fails here in seconds if it moves any
 bit of any result.  The pins were captured from the code before the
 raw-bit dropout masks, cached layer-norm statistics and in-place softmax
-landed; see CHANGES.md.
+landed; see CHANGES.md.  The run also writes its checkpoints, and the bytes
+of the final checkpoint and of ``loss.csv`` are pinned as well; those pins
+were captured from the code before checkpoints were streamed tensor by
+tensor.
 """
 
 import hashlib
@@ -23,6 +26,11 @@ PINNED_LOSSES = [
     4.11508297094565, 3.9362721430223595, 4.027537265085091, 4.203274035181825,
 ]
 PINNED_PARAMS_SHA256 = "c737812c7fd4dbb47e07c21f197830d4f53c44fe938605257d02d0965e10effb"
+PINNED_FILE_SHA256 = {
+    "final/tensors.bin": "d5bac58ebe2976dd5531fee4d0179df31ce823ed2b813f9386057677fa565ad7",
+    "final/manifest.json": "a803ab9c93e540afdd222a5f4e2a2f1fcfd7e345716d3914df61cb03d62b4b14",
+    "loss.csv": "825aaa16656889f2b6fe7bd2ee98bd0427c6a344446668304f0124e1ecb6b844",
+}
 
 
 def guard_schedule() -> Schedule:
@@ -46,13 +54,15 @@ def params_sha256(params: dict) -> str:
     return h.hexdigest()
 
 
-def run_guard():
-    result = run_schedule(guard_schedule(), seed=5, log_every=1,
+def run_guard(out_dir):
+    result = run_schedule(guard_schedule(), seed=5, out_dir=out_dir, log_every=1,
                           opt_cfg=OptimizerConfig(peak_lr=2e-2, warmup=1))
     return [loss for _, _, _, loss in result.loss_log], params_sha256(result.params)
 
 
-def test_training_numerics_are_bit_identical_to_pins():
-    losses, digest = run_guard()
+def test_training_numerics_are_bit_identical_to_pins(tmp_path):
+    losses, digest = run_guard(tmp_path)
     assert losses == PINNED_LOSSES
     assert digest == PINNED_PARAMS_SHA256
+    for name, pinned in PINNED_FILE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned, name

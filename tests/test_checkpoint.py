@@ -1,8 +1,11 @@
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from growtrain import checkpoint
 from growtrain.checkpoint import (BLOB_NAME, MANIFEST_NAME, load_checkpoint,
                                   save_checkpoint)
 from growtrain.data import DataConfig
@@ -41,6 +44,13 @@ class TestRoundTrip:
         assert ckpt.rng_state == {"seed": 42}
         assert ckpt.extra["boundary_ops"] == ["unshare"]
 
+    def test_loaded_arrays_are_owned_writable_c_contiguous_float64(self, saved):
+        path, *_ = saved
+        for name, t in load_checkpoint(path).params.items():
+            assert t.dtype == np.float64, name
+            assert t.flags.owndata and t.base is None, name
+            assert t.flags.writeable and t.flags.c_contiguous, name
+
     def test_save_load_save_byte_identical(self, saved, tmp_path):
         path, _, cfg, dc = saved
         ckpt = load_checkpoint(path)
@@ -73,6 +83,19 @@ class TestIntegrity:
         doc = json.loads((path / MANIFEST_NAME).read_text())
         last = doc["tensors"][-1]["name"]
         with pytest.raises(IntegrityError, match=last):
+            load_checkpoint(path)
+
+    def test_short_read_names_tensor(self, saved, monkeypatch):
+        # the blob shrinks after its size was taken: the read comes up short
+        path, *_ = saved
+        blob = (path / BLOB_NAME).read_bytes()
+        (path / BLOB_NAME).write_bytes(blob[:-16])
+        real_fstat = os.fstat
+        monkeypatch.setattr(checkpoint.os, "fstat", lambda fd: SimpleNamespace(
+            st_size=real_fstat(fd).st_size + 16))
+        doc = json.loads((path / MANIFEST_NAME).read_text())
+        last = doc["tensors"][-1]["name"]
+        with pytest.raises(IntegrityError, match=f"{last}.*short read"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, saved):

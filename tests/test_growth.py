@@ -257,6 +257,37 @@ class TestApply:
         for name, t in snapshot.items():
             npt.assert_array_equal(params[name], t)
 
+    @pytest.mark.parametrize("spec,init", [
+        ("", {}),
+        ("stack:2", {}),
+        ("stack:4", {}),
+        ("unshare", {}),
+        ("defactorize", {"ffn_mode": "factorized", "ffn_h": 3, "ffn_k": 1}),
+        ("unpool", {}),
+        ("extend:8:2", {}),
+        ("unshare,unpool", {}),
+        ("stack:4,unshare,unpool", {}),
+    ])
+    def test_outputs_own_their_memory(self, spec, init):
+        kw = dict(L=2, ffn_mode="shared", ffn_k=2, pool_k=2)
+        kw.update(init)
+        cfg = small_config(**kw)
+        params = init_params(cfg, Rng(24).fork("init"))
+        snapshot = {k: v.tobytes() for k, v in params.items()}
+        dc = DataConfig(V=5, corpus_size=8, seq_len_full=8, train_len=4,
+                        masks_per_seq=1)
+        grown, new_cfg, _ = apply(parse_ops(spec), params, cfg, dc)
+        shape_audit(grown, new_cfg)
+        outputs = list(grown.items())
+        for i, (name, t) in enumerate(outputs):
+            for src, s in params.items():
+                assert not np.shares_memory(t, s), (name, src)
+            for other, u in outputs[i + 1:]:
+                assert not np.shares_memory(t, u), (name, other)
+        for t in grown.values():
+            t += 1.0
+        assert {k: v.tobytes() for k, v in params.items()} == snapshot
+
     def test_unshare_on_full_mode_rejected(self):
         cfg = small_config()
         params = init_params(cfg, Rng(23).fork("init"))

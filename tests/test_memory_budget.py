@@ -1,0 +1,76 @@
+"""Memory budgets of the growth path: checkpoint I/O and ``growth.apply``.
+
+``tracemalloc`` sees numpy's data buffers as well as Python ``bytes``
+objects, so the peak it reports counts every model-sized intermediate
+copy.  The bounds are counts of bytes, not timings, and repeat exactly:
+saving allocates next to nothing, loading allocates the tensors once, and
+growing allocates the grown model once.
+"""
+
+import tracemalloc
+
+import pytest
+
+from growtrain import growth
+from growtrain.checkpoint import load_checkpoint, save_checkpoint
+from growtrain.data import DataConfig
+from growtrain.model import ModelConfig, init_params
+from growtrain.rng import Rng
+
+SLACK = 0.05
+
+
+@pytest.fixture(scope="module")
+def model():
+    # about 2.4 MB of float64: shared FFN, pooled first layer
+    cfg = ModelConfig(L=2, D=128, H=512, M=2, N_max=128, V=64, dropout_p=0.1,
+                      ffn_mode="shared", ffn_k=2, pool_k=2)
+    dc = DataConfig(V=64, corpus_size=4, seq_len_full=128, train_len=128,
+                    masks_per_seq=19)
+    return init_params(cfg, Rng(3).fork("init")), cfg, dc
+
+
+def nbytes(params: dict) -> int:
+    return sum(t.nbytes for t in params.values())
+
+
+def peak_allocation(fn):
+    """(result, bytes allocated at the peak of ``fn`` above what was live
+    before it)."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
+
+
+def test_model_is_about_two_megabytes(model):
+    params, _, _ = model
+    assert 2e6 < nbytes(params) < 3e6
+
+
+def test_save_allocates_no_model_sized_buffer(model, tmp_path):
+    params, cfg, dc = model
+    _, peak = peak_allocation(
+        lambda: save_checkpoint(tmp_path / "ckpt", params, cfg, dc, 0, 0, {}))
+    assert peak < SLACK * nbytes(params)
+
+
+def test_load_allocates_the_tensors_once(model, tmp_path):
+    params, cfg, dc = model
+    save_checkpoint(tmp_path / "ckpt", params, cfg, dc, 0, 0, {})
+    ckpt, peak = peak_allocation(lambda: load_checkpoint(tmp_path / "ckpt"))
+    assert nbytes(ckpt.params) == nbytes(params)
+    assert peak <= (1 + SLACK) * nbytes(params)
+
+
+def test_apply_allocates_the_grown_model_once(model):
+    params, cfg, dc = model
+    ops_list = growth.parse_ops("unshare,unpool")
+    (grown, _, _), peak = peak_allocation(
+        lambda: growth.apply(ops_list, params, cfg, dc))
+    assert nbytes(grown) > nbytes(params)
+    assert peak <= (1 + SLACK) * nbytes(grown)

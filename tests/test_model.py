@@ -387,6 +387,20 @@ class TestMlmLoss:
                                  tiny_params, tiny_config)
         npt.assert_allclose(doubled, single, rtol=1e-14)
 
+    def test_reused_gradient_dict_equals_fresh_one(self):
+        cfg = ModelConfig(L=2, D=8, H=16, M=2, N_max=8, V=5, dropout_p=0.1,
+                          pool_k=2)
+        params = init_params(cfg, Rng(27).fork("init"))
+        batch = random_batch(Rng(28), 3, 8, 2, 5)
+        loss, fresh = mlm_loss(batch, params, cfg, Rng(1), training=True)
+        # a dict left dirty by an earlier step is zeroed before it is filled
+        dirty = {k: np.full_like(t, np.nan) for k, t in params.items()}
+        loss2, reused = mlm_loss(batch, params, cfg, Rng(1), training=True,
+                                 grads=dirty)
+        assert reused is dirty and loss2 == loss
+        for name in params:
+            assert reused[name].tobytes() == fresh[name].tobytes(), name
+
     def test_empty_mask_set_rejected(self, tiny_config, tiny_params):
         with pytest.raises(InputError):
             mlm_loss((np.zeros((1, 6), int), np.zeros((1, 0), int),

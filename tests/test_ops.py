@@ -143,26 +143,6 @@ def test_layer_norm_bit_identical_to_mean_var(D):
     npt.assert_array_equal(dbias, np.sum(g, axis=0))
 
 
-class TestMeanPoolRows:
-    def test_mean_of_two_rows(self):
-        out = ops.mean_pool_rows(np.array([[1.0, 2.0], [3.0, 4.0]]), 2)
-        npt.assert_array_equal(out, [[2.0, 3.0]])
-
-    def test_k1_is_identity_exactly(self):
-        x = Rng(4).uniform(-2, 2, (5, 3))
-        npt.assert_array_equal(ops.mean_pool_rows(x, 1), x)
-
-    def test_short_final_group(self):
-        x = Rng(5).uniform(-2, 2, (5, 3))
-        out = ops.mean_pool_rows(x, 2)
-        assert out.shape == (3, 3)
-        npt.assert_array_equal(out[2], x[4])
-
-    def test_k_zero_rejected(self):
-        with pytest.raises(ParamError):
-            ops.mean_pool_rows(np.ones((2, 2)), 0)
-
-
 class TestDropout:
     def test_p_zero_identity(self):
         x = Rng(6).uniform(-2, 2, (4, 4))

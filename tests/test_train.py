@@ -111,6 +111,45 @@ class TestAdamW:
         with pytest.raises(StateError):
             optimizer_step(params, {"w": np.zeros(4)}, st, 0.1, OptimizerConfig())
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_in_place_update_equals_expression_bitwise(self, weight_decay):
+        def reference_step(params, grads, m, v, step, lr, cfg):
+            # the AdamW expression as written before the update moved into
+            # a reused scratch buffer
+            bc1 = 1.0 - cfg.beta1**step
+            bc2 = 1.0 - cfg.beta2**step
+            for name, p in params.items():
+                g = grads[name]
+                m[name] *= cfg.beta1
+                m[name] += (1.0 - cfg.beta1) * g
+                v[name] *= cfg.beta2
+                v[name] += (1.0 - cfg.beta2) * g * g
+                update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.eps)
+                if cfg.weight_decay and not name.endswith(("gain", "bias", ".b")):
+                    update = update + cfg.weight_decay * p
+                p -= lr * update
+
+        rng = Rng(50)
+        shapes = {"head.w": (3, 5), "layer0.ffn.w1": (5, 7), "pos_emb": (6, 5),
+                  "head.b": (3,), "layer0.ln_attn.gain": (5,),
+                  "layer0.ln_attn.bias": (5,)}
+        params = {k: rng.normal(0.0, 1.0, s) for k, s in shapes.items()}
+        ref = {k: t.copy() for k, t in params.items()}
+        ref_m = {k: np.zeros_like(t) for k, t in params.items()}
+        ref_v = {k: np.zeros_like(t) for k, t in params.items()}
+        st = OptimizerState.fresh(params)
+        cfg = OptimizerConfig(weight_decay=weight_decay)
+        for step, lr in enumerate((0.3, 0.05, 1e-3, 0.7), start=1):
+            grads = {k: rng.normal(0.0, 10.0 ** -step, t.shape)
+                     for k, t in params.items()}
+            grads["pos_emb"][1:3] = 0.0
+            optimizer_step(params, grads, st, lr, cfg)
+            reference_step(ref, grads, ref_m, ref_v, step, lr, cfg)
+            for name in params:
+                assert params[name].tobytes() == ref[name].tobytes(), (step, name)
+                assert st.m[name].tobytes() == ref_m[name].tobytes(), (step, name)
+                assert st.v[name].tobytes() == ref_v[name].tobytes(), (step, name)
+
     def test_moment_audit_after_growth(self):
         cfg = ModelConfig(L=1, D=4, H=8, M=2, N_max=8, V=5, dropout_p=0.0)
         params = init_params(cfg, Rng(0).fork("init"))
