@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,6 +81,9 @@ def save_checkpoint(path, params: dict, model_config: ModelConfig,
 _MANIFEST_KEYS = ("model_config", "data_config", "stage_index", "global_step",
                   "rng_state", "tensors")
 _ENTRY_KEYS = ("name", "shape", "byte_offset", "element_count")
+# field name -> type of each config stored in a manifest; resolving the
+# annotations takes about 0.1 ms, so it is done once
+_CONFIG_FIELDS = {cls: typing.get_type_hints(cls) for cls in (ModelConfig, DataConfig)}
 
 
 def _read_manifest(path: Path) -> dict:
@@ -103,7 +107,38 @@ def _read_manifest(path: Path) -> dict:
         for key in _ENTRY_KEYS:
             if not isinstance(entry, dict) or key not in entry:
                 raise IntegrityError(f"{path}: tensor entry {i} has no {key!r} field")
+        shape = entry["shape"]
+        if not (isinstance(shape, list) and all(_has_type(d, int) and d >= 0 for d in shape)):
+            raise IntegrityError(f"{path}: tensor entry {i} has shape {shape!r}, "
+                                 f"not a list of non-negative integers")
     return manifest
+
+
+def _has_type(value, want: type) -> bool:
+    """Type check of a parsed JSON value: a bool is no int, and a float
+    field may hold an int."""
+    return type(value) is want or (want is float and type(value) is int)
+
+
+def _config_field(manifest: dict, key: str, cls, path: Path):
+    """Build the ModelConfig or DataConfig stored under ``key``.  A field
+    that is unknown, missing or of the wrong JSON type is an
+    IntegrityError; value checks are the config's own ``validate``."""
+    d = manifest[key]
+    if not isinstance(d, dict):
+        raise IntegrityError(f"{path}: {MANIFEST_NAME} {key!r} is not a JSON object")
+    types = _CONFIG_FIELDS[cls]
+    for name, value in d.items():
+        if name not in types:
+            raise IntegrityError(f"{path}: {key} has unknown field {name!r}")
+        want = types[name]
+        if not _has_type(value, want):
+            raise IntegrityError(f"{path}: {key}.{name} = {value!r} is not of type "
+                                 f"{want.__name__}")
+    try:
+        return cls.from_dict(d)
+    except TypeError as exc:   # a missing field
+        raise IntegrityError(f"{path}: {key}: {exc}") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -143,8 +178,8 @@ def load_checkpoint(path) -> Checkpoint:
             f"blob has {blob_size - expected_offset} trailing bytes after the "
             f"last tensor {name!r}")
 
-    model_config = ModelConfig.from_dict(manifest["model_config"])
-    data_config = DataConfig.from_dict(manifest["data_config"])
+    model_config = _config_field(manifest, "model_config", ModelConfig, path)
+    data_config = _config_field(manifest, "data_config", DataConfig, path)
     shape_audit(params, model_config)
     return Checkpoint(params=params, model_config=model_config,
                       data_config=data_config,

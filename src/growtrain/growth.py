@@ -1,9 +1,10 @@
 """Growth operators applied between training stages.
 
 Each operator maps (params, config, data_config) to a larger state; inputs
-are never mutated.  The operator functions return dicts that still reference
-the input tensors they leave unchanged; ``apply`` returns tensors that share
-memory with neither its input nor each other.  UnshareFFN and DefactorizeFFN
+are never mutated.  The operator functions, and ``fold`` which composes
+them, return dicts that still reference the input tensors they leave
+unchanged; ``apply`` returns tensors that share memory with neither its
+input nor each other, so they can be trained.  UnshareFFN and DefactorizeFFN
 are exactly output-preserving; StackDepth and Unpool change the computed
 function and are verified report-only.
 """
@@ -153,8 +154,13 @@ def apply_to_config(op: GrowthOp, config: ModelConfig, data_config):
     raise ParamError(f"unknown growth op {op!r}")
 
 
-def apply(ops_list, params: dict, config: ModelConfig, data_config):
-    """Apply a list of growth ops in the fixed depth, width, length order."""
+def fold(ops_list, params: dict, config: ModelConfig, data_config):
+    """Apply a list of growth ops in the fixed depth, width, length order.
+
+    The result references every input tensor an op leaves unchanged, and
+    ``stack`` repeats source layers under several names, so it is for
+    reading only (forward passes); ``apply`` returns owned tensors.
+    """
     ordered = sorted(ops_list, key=lambda op: _ORDER[type(op)])
     grown = params
     for op in ordered:
@@ -171,6 +177,13 @@ def apply(ops_list, params: dict, config: ModelConfig, data_config):
                                         op.new_masks_per_seq)
         else:
             raise ParamError(f"unknown growth op {op!r}")
+    return grown, config, data_config
+
+
+def apply(ops_list, params: dict, config: ModelConfig, data_config):
+    """``fold``, with every output tensor owned: a tensor that shares memory
+    with an input or another output is copied."""
+    grown, config, data_config = fold(ops_list, params, config, data_config)
     return _owned(grown, params), config, data_config
 
 
@@ -257,7 +270,9 @@ def verify_function_preserving(params: dict, config: ModelConfig, op,
     """Compare masked-position logits before/after growth (dropout off).
 
     ``op`` may be a single op or a list.  Masked rows survive pooling, so
-    logit shapes agree across every operator including Unpool.
+    logit shapes agree across every operator including Unpool.  The grown
+    model is only read, so it is ``fold``'s output: no unchanged tensor is
+    copied.
     """
     ops_list = op if isinstance(op, (list, tuple)) else [op]
     ids, masked = probe_batch
@@ -266,7 +281,7 @@ def verify_function_preserving(params: dict, config: ModelConfig, op,
     rng = Rng(0)
     before = [encoder_forward(ids[j], masked[j], params, config, rng)[0]
               for j in range(ids.shape[0])]
-    new_params, new_config, _ = apply(ops_list, params, config, data_config)
+    new_params, new_config, _ = fold(ops_list, params, config, data_config)
     after = [encoder_forward(ids[j], masked[j], new_params, new_config, rng)[0]
              for j in range(ids.shape[0])]
     diff = max(float(np.max(np.abs(b - a))) if b.size else 0.0

@@ -14,6 +14,10 @@ Reduced configurations used by early growth stages:
 - ``pool_k > 1``: the query stream of the *first* attention layer is
   mean-pooled (masked positions exempted, see ``build_pooling``); all
   later layers run at the pooled length.
+
+Whatever the configuration, the *last* layer computes only the rows the MLM
+head reads: its queries, residual and FFN run on the masked rows alone,
+against keys and values over the whole stream (see ``encoder_apply``).
 """
 
 from __future__ import annotations
@@ -198,11 +202,17 @@ def _ffn_weights(params: dict, layer: int, config: ModelConfig) -> dict:
 
 
 def ffn_apply(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
-              rng: Rng, training: bool, activation=None):
-    """FFN body (no residual, no layer-norm).  Returns (y, cache)."""
+              rng: Rng, training: bool, activation=None, rows=None):
+    """FFN body (no residual, no layer-norm).  Returns (y, cache).
+
+    ``rows=(n, idx)`` says that x holds rows ``idx`` of an n-row stream: the
+    dropout masks are drawn for all n rows and the kept rows selected, so
+    the stream and each row's bits do not depend on the selection.
+    """
     act, act_grad = activation if activation is not None else (ops.gelu, ops.gelu_grad)
     w = _ffn_weights(params, layer, config)
     p = config.dropout_p
+    n, idx = rows if rows is not None else (x.shape[0], None)
     if config.ffn_mode == "full":
         pre = ops.matmul(x, w["ffn.w1"])
     elif config.ffn_mode == "shared":
@@ -211,7 +221,7 @@ def ffn_apply(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
         mid1 = ops.matmul(x, w["ffn.w11"])
         pre = ops.matmul(mid1, w["ffn.w12"])
     a = act(pre)
-    mask1 = ops.dropout_mask(a.shape, p, rng, training)
+    mask1 = ops.dropout_mask((n, a.shape[1]), p, rng, training, idx)
     a_d = a if mask1 is None else ops.apply_dropout(a, mask1, p)
     if config.ffn_mode == "full":
         y = ops.matmul(a_d, w["ffn.w2"])
@@ -220,7 +230,7 @@ def ffn_apply(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
     else:
         mid2 = ops.matmul(a_d, w["ffn.w21"])
         y = ops.matmul(mid2, w["ffn.w22"])
-    mask2 = ops.dropout_mask(y.shape, p, rng, training)
+    mask2 = ops.dropout_mask((n, y.shape[1]), p, rng, training, idx)
     out = y if mask2 is None else ops.apply_dropout(y, mask2, p, out=y)
     cache = {"x": x, "pre": pre, "a_d": a_d, "mask1": mask1,
              "mask2": mask2, "act_grad": act_grad, "w": w, "layer": layer,
@@ -289,7 +299,7 @@ def _dropped(probs: np.ndarray, mask, p: float) -> np.ndarray:
 
 
 def attention_apply(x_q: np.ndarray, x_kv: np.ndarray, params: dict, layer: int,
-                    config: ModelConfig, rng: Rng, training: bool):
+                    config: ModelConfig, rng: Rng, training: bool, rows=None):
     """Multi-head attention body (no residual, no layer-norm).
 
     Per head m: scores = (x_q Wq_m)(x_kv Wk_m^T)^T, softmax rows, optional
@@ -297,7 +307,9 @@ def attention_apply(x_q: np.ndarray, x_kv: np.ndarray, params: dict, layer: int,
     m-th output block.  Head contributions are summed (equivalent to
     concat-then-project).  Heads are the leading axis of one batched
     computation; the dropout mask is one (M, nq, nkv) draw, which consumes
-    the stream exactly as M consecutive (nq, nkv) draws would.
+    the stream exactly as M consecutive (nq, nkv) draws would.  With
+    ``rows=(n, idx)``, x_q holds rows ``idx`` of an n-row query stream and
+    the mask is drawn at (M, n, nkv) before those rows are kept.
     """
     D, M = config.D, config.M
     if x_q.shape[1] != D or x_kv.shape[1] != D:
@@ -312,7 +324,8 @@ def attention_apply(x_q: np.ndarray, x_kv: np.ndarray, params: dict, layer: int,
     scores = q @ k.transpose(0, 2, 1)
     scores *= scale
     probs = ops.softmax_rows(scores)
-    mask = ops.dropout_mask(probs.shape, config.dropout_p, rng, training)
+    n, idx = rows if rows is not None else (x_q.shape[0], None)
+    mask = ops.dropout_mask((M, n, x_kv.shape[0]), config.dropout_p, rng, training, idx)
     ctx = _merge_heads(_dropped(probs, mask, config.dropout_p) @ v)
     out = ctx @ w["w_v2_t"].T
     cache = {"x_q": x_q, "x_kv": x_kv, "q": q, "k": k, "v": v, "probs": probs,
@@ -367,13 +380,40 @@ def _check_positions(n: int, masked_positions, config: ModelConfig) -> None:
         prev = pos
 
 
+def _query_maps(n: int, masked: np.ndarray, config: ModelConfig):
+    """Per-layer query maps and the rows the MLM head reads.
+
+    Layer 0 pools its queries with P when ``pool_k > 1``; the last layer
+    keeps only the head's rows, a selection from its n'-row query stream
+    (composed with P when it is layer 0 as well); other layers have none.
+    A layer with map Q attends from Q @ LN(x) to LN(x) and carries Q @ x on
+    its residual path.  Every output row depends on its own query row only,
+    so the rows the last layer skips are rows no later step reads.
+    Returns (maps, pooled_masked, n').
+    """
+    if config.pool_k > 1:
+        P, pooled_masked = build_pooling(n, masked, config.pool_k)
+        n_q = P.shape[0]
+    else:
+        P, pooled_masked, n_q = None, masked, n
+    select = np.zeros((pooled_masked.size, n_q))
+    select[np.arange(pooled_masked.size), pooled_masked] = 1.0
+    maps = [P] + [None] * (config.L - 1)
+    maps[-1] = select if config.L > 1 or P is None else P[pooled_masked]
+    return maps, pooled_masked, n_q
+
+
 def encoder_apply(token_ids, masked_positions, params: dict, config: ModelConfig,
                   rng: Rng, training: bool, activation=None):
     """Forward pass through all layers.  Returns (logits, hidden, cache).
 
     Pre-norm residual blocks: x <- x + Att(LN(x)); x <- x + FFN(LN(x)).
     With pool_k > 1 the first layer pools the query stream and its residual
-    path; layers >= 2 run at the pooled length.
+    path; layers >= 2 run at the pooled length.  The last layer runs its
+    queries, residual and FFN on the masked rows only (``_query_maps``), so
+    ``hidden`` holds one final row per masked position, in order.  Its
+    dropout masks are drawn for the whole query stream and the kept rows
+    selected, so the random stream is that of a full-row pass.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     n = token_ids.shape[0]
@@ -381,60 +421,47 @@ def encoder_apply(token_ids, masked_positions, params: dict, config: ModelConfig
     masked = np.asarray(list(masked_positions), dtype=np.int64)
 
     x = params["token_emb"][token_ids] + params["pos_emb"][:n]
-    if config.pool_k > 1:
-        P, pooled_masked = build_pooling(n, masked, config.pool_k)
-    else:
-        P, pooled_masked = None, masked
+    maps, pooled_masked, n_q = _query_maps(n, masked, config)
 
     layers = []
     for i in range(config.L):
         lp = f"layer{i}."
         rng_a = rng.fork(f"layer{i}.attn")
         rng_f = rng.fork(f"layer{i}.ffn")
+        rows = (n_q, pooled_masked) if i == config.L - 1 else None
         ln1, ln1_cache = ops.layer_norm(x, params[lp + "ln_attn.gain"],
                                         params[lp + "ln_attn.bias"], LN_EPS)
-        if i == 0 and P is not None:
-            att, acache = attention_apply(P @ ln1, ln1, params, i, config, rng_a, training)
-            x = P @ x + att
-        else:
-            att, acache = attention_apply(ln1, ln1, params, i, config, rng_a, training)
-            x = x + att
+        Q = maps[i]
+        x_q, x_res = (ln1, x) if Q is None else (Q @ ln1, Q @ x)
+        att, acache = attention_apply(x_q, ln1, params, i, config, rng_a, training, rows)
+        x = x_res + att
         ln2, ln2_cache = ops.layer_norm(x, params[lp + "ln_ffn.gain"],
                                         params[lp + "ln_ffn.bias"], LN_EPS)
-        f, fcache = ffn_apply(ln2, params, i, config, rng_f, training, activation)
+        f, fcache = ffn_apply(ln2, params, i, config, rng_f, training, activation, rows)
         x = x + f
         layers.append({"ln_attn": ln1_cache, "ln_ffn": ln2_cache,
                        "attn": acache, "ffn": fcache})
 
-    hidden = x
-    rows = hidden[pooled_masked] if pooled_masked.size else np.zeros((0, config.D))
-    logits = rows @ params["head.w"] + params["head.b"]
-    cache = {"token_ids": token_ids, "n": n, "P": P, "pooled_masked": pooled_masked,
-             "layers": layers, "hidden": hidden, "rows": rows,
-             "params": params, "config": config}
-    return logits, hidden, cache
+    logits = x @ params["head.w"] + params["head.b"]
+    cache = {"token_ids": token_ids, "n": n, "maps": maps, "layers": layers,
+             "hidden": x, "params": params, "config": config}
+    return logits, x, cache
 
 
 def encoder_backward(g_logits: np.ndarray, cache: dict, grads: dict) -> None:
     """Adjoint of encoder_apply; adds the gradients into ``grads``, a dict
     shaped exactly like Params (see ``zero_grads``)."""
     params, config = cache["params"], cache["config"]
-    rows, hidden = cache["rows"], cache["hidden"]
+    hidden = cache["hidden"]
 
-    grads["head.w"] += rows.T @ g_logits
+    grads["head.w"] += hidden.T @ g_logits
     grads["head.b"] += g_logits.sum(axis=0)
-    g_hidden = np.zeros_like(hidden)
-    if cache["pooled_masked"].size:
-        g_hidden[cache["pooled_masked"]] += g_logits @ params["head.w"].T
-
-    g_x = g_hidden
-    P = cache["P"]
+    g_x = g_logits @ params["head.w"].T
     for i in reversed(range(config.L)):
         lc = cache["layers"][i]
         lp = f"layer{i}."
         # FFN block: x = x_mid + f(LN(x_mid))
-        g_f = g_x
-        g_ln2, fgrads = ffn_backward(g_f, lc["ffn"])
+        g_ln2, fgrads = ffn_backward(g_x, lc["ffn"])
         for name, t in fgrads.items():
             grads[name] += t
         d_xmid, dgain, dbias = ops.layer_norm_backward(
@@ -442,20 +469,19 @@ def encoder_backward(g_logits: np.ndarray, cache: dict, grads: dict) -> None:
         grads[lp + "ln_ffn.gain"] += dgain
         grads[lp + "ln_ffn.bias"] += dbias
         g_x = g_x + d_xmid
-        # Attention block
+        # Attention block: x_mid = Q x + att(Q LN(x), LN(x)), Q = I without a map
         g_xq, g_xkv, agrads = attention_backward(g_x, lc["attn"])
         for name, t in agrads.items():
             grads[name] += t
-        if i == 0 and P is not None:
-            g_ln1 = P.T @ g_xq + g_xkv
-            d_xin, dgain, dbias = ops.layer_norm_backward(
-                g_ln1, lc["ln_attn"], params[lp + "ln_attn.gain"])
-            g_x = P.T @ g_x + d_xin
-        else:
+        Q = cache["maps"][i]
+        if Q is None:
             g_ln1 = g_xq + g_xkv
-            d_xin, dgain, dbias = ops.layer_norm_backward(
-                g_ln1, lc["ln_attn"], params[lp + "ln_attn.gain"])
-            g_x = g_x + d_xin
+        else:
+            g_ln1 = Q.T @ g_xq + g_xkv
+            g_x = Q.T @ g_x
+        d_xin, dgain, dbias = ops.layer_norm_backward(
+            g_ln1, lc["ln_attn"], params[lp + "ln_attn.gain"])
+        g_x = g_x + d_xin
         grads[lp + "ln_attn.gain"] += dgain
         grads[lp + "ln_attn.bias"] += dbias
 
@@ -465,7 +491,9 @@ def encoder_backward(g_logits: np.ndarray, cache: dict, grads: dict) -> None:
 
 def encoder_forward(token_ids, masked_positions, params: dict, config: ModelConfig,
                     rng: Rng, training: bool = False):
-    """Public forward surface: returns (logits at masked positions, hidden)."""
+    """Public forward surface: returns (logits at masked positions, hidden),
+    where ``hidden`` holds the final rows the head reads, one per masked
+    position (the last layer computes no other row)."""
     logits, hidden, _ = encoder_apply(token_ids, masked_positions, params,
                                       config, rng, training)
     return logits, hidden

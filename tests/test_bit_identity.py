@@ -9,7 +9,10 @@ raw-bit dropout masks, cached layer-norm statistics and in-place softmax
 landed; see CHANGES.md.  The run also writes its checkpoints, and the bytes
 of the final checkpoint and of ``loss.csv`` are pinned as well; those pins
 were captured from the code before checkpoints were streamed tensor by
-tensor.
+tensor.  The parameter and ``final/tensors.bin`` pins were re-captured when
+the last encoder layer began to compute only the rows the head reads: the
+losses stayed bit-identical, and the gradients moved by at most a few
+1e-19, the rounding of BLAS products over fewer rows.
 """
 
 import hashlib
@@ -25,9 +28,9 @@ PINNED_LOSSES = [
     4.159280306257447, 4.155469226070121, 4.145699548319687, 4.1842151362628766,
     4.11508297094565, 3.9362721430223595, 4.027537265085091, 4.203274035181825,
 ]
-PINNED_PARAMS_SHA256 = "c737812c7fd4dbb47e07c21f197830d4f53c44fe938605257d02d0965e10effb"
+PINNED_PARAMS_SHA256 = "cb57e29a9743032a31f215c7ef6f0aca6f868a4272cb486910f4a7da88a1a350"
 PINNED_FILE_SHA256 = {
-    "final/tensors.bin": "d5bac58ebe2976dd5531fee4d0179df31ce823ed2b813f9386057677fa565ad7",
+    "final/tensors.bin": "ad932dd71e80e2de0d3d577b5bc13a4680b6a78d4d2171a653b36d5ac5077644",
     "final/manifest.json": "a803ab9c93e540afdd222a5f4e2a2f1fcfd7e345716d3914df61cb03d62b4b14",
     "loss.csv": "825aaa16656889f2b6fe7bd2ee98bd0427c6a344446668304f0124e1ecb6b844",
 }

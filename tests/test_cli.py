@@ -193,3 +193,39 @@ class TestMalformedCheckpoint:
         del doc["tensors"][1][field]
         (final / "manifest.json").write_text(json.dumps(doc))
         self._eval_fails(final, small_config, capsys)
+
+
+def _edit_manifest(final, edit) -> None:
+    doc = json.loads((final / "manifest.json").read_text())
+    edit(doc)
+    (final / "manifest.json").write_text(json.dumps(doc))
+
+
+def _negate_2d_shape(doc):
+    entry = next(e for e in doc["tensors"] if len(e["shape"]) == 2)
+    entry["shape"] = [-d for d in entry["shape"]]   # same element count
+
+
+class TestMalformedManifest:
+    """A manifest with a malformed shape or config ends ``verify`` with exit
+    code 1 and an ``error:`` line, not a traceback."""
+
+    EDITS = {
+        "negated_2d_shape": _negate_2d_shape,
+        "string_shape": lambda doc: doc["tensors"][0].update(shape="ab"),
+        "unknown_model_key": lambda doc: doc["model_config"].update(depth=2),
+        "missing_model_key": lambda doc: doc["model_config"].pop("D"),
+        "model_config_not_object": lambda doc: doc.update(model_config=[2, 8]),
+        "string_width": lambda doc: doc["model_config"].update(D="8"),
+        "float_heads": lambda doc: doc["model_config"].update(M=2.0),
+        "unknown_data_key": lambda doc: doc["data_config"].update(vocab=8),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_verify_exits_1(self, small_config, tmp_path, capsys, edit):
+        out = tmp_path / "run"
+        assert cli(["train", "-c", str(small_config), "-o", str(out)]) == 0
+        _edit_manifest(out / "final", self.EDITS[edit])
+        capsys.readouterr()
+        assert cli(["verify", "--ckpt", str(out / "final"), "--op", "stack:4"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -10,8 +10,8 @@ from growtrain.growth import (DefactorizeFFN, ExtendLength, StackDepth,
                               format_op, grow_depth_stack, grow_ffn_defactorize,
                               grow_ffn_unshare, grow_remove_pooling, parse_op,
                               parse_ops, verify_function_preserving)
-from growtrain.model import (ModelConfig, encoder_forward, init_params,
-                             param_count, shape_audit)
+from growtrain.model import (ModelConfig, encoder_apply, encoder_forward,
+                             init_params, param_count, shape_audit)
 from growtrain.rng import Rng
 
 from conftest import random_batch
@@ -167,9 +167,12 @@ class TestUnpool:
         params = init_params(cfg, Rng(16).fork("init"))
         grown, new_cfg = grow_remove_pooling(params, cfg)
         ids = np.arange(8) % 5
-        _, h_pooled = encoder_forward(ids, [], params, cfg, Rng(0))
-        _, h_full = encoder_forward(ids, [], grown, new_cfg, Rng(0))
-        assert h_pooled.shape[0] == 4 and h_full.shape[0] == 8
+        # the first layer's output length, read from the second layer's keys
+        _, _, pooled = encoder_apply(ids, [], params, cfg, Rng(0), training=False)
+        _, _, full = encoder_apply(ids, [], grown, new_cfg, Rng(0), training=False)
+        assert cfg.L == 2
+        assert pooled["layers"][1]["attn"]["x_kv"].shape[0] == 4
+        assert full["layers"][1]["attn"]["x_kv"].shape[0] == 8
 
     def test_not_function_preserving(self):
         cfg = small_config(pool_k=2)

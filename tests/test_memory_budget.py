@@ -1,10 +1,12 @@
-"""Memory budgets of the growth path: checkpoint I/O and ``growth.apply``.
+"""Memory budgets of the growth path: checkpoint I/O, ``growth.apply`` and
+the preservation check behind ``growtrain verify``.
 
 ``tracemalloc`` sees numpy's data buffers as well as Python ``bytes``
 objects, so the peak it reports counts every model-sized intermediate
 copy.  The bounds are counts of bytes, not timings, and repeat exactly:
 saving allocates next to nothing, loading allocates the tensors once, and
-growing allocates the grown model once.
+growing allocates the grown model once, and verifying a growth op allocates
+only the tensors the op makes.
 """
 
 import tracemalloc
@@ -16,6 +18,8 @@ from growtrain.checkpoint import load_checkpoint, save_checkpoint
 from growtrain.data import DataConfig
 from growtrain.model import ModelConfig, init_params
 from growtrain.rng import Rng
+
+from conftest import random_batch
 
 SLACK = 0.05
 
@@ -74,3 +78,18 @@ def test_apply_allocates_the_grown_model_once(model):
         lambda: growth.apply(ops_list, params, cfg, dc))
     assert nbytes(grown) > nbytes(params)
     assert peak <= (1 + SLACK) * nbytes(grown)
+
+
+def test_verify_allocates_only_the_new_tensors(model):
+    params, cfg, dc = model
+    ops_list = growth.parse_ops("unshare")
+    grown, _, _ = growth.apply(ops_list, params, cfg, dc)
+    made = sum(t.nbytes for name, t in grown.items() if name not in params)
+    # a short probe batch keeps the forward passes' share small
+    ids, masked, _ = random_batch(Rng(4), 4, 16, 3, cfg.V)
+    report, peak = peak_allocation(lambda: growth.verify_function_preserving(
+        params, cfg, ops_list, (ids, masked), data_config=dc))
+    assert report.passed
+    # the unshared FFN matrices are most of it; no owned copy of the grown
+    # model (its unchanged tensors included) is made
+    assert made <= peak < nbytes(grown)

@@ -6,10 +6,12 @@ import pytest
 
 from growtrain import ops
 from growtrain.errors import InputError, ValidationError
-from growtrain.model import (ModelConfig, attention_forward, build_pooling,
-                             encoder_apply, encoder_backward, encoder_forward,
-                             ffn_forward, init_params, mlm_loss,
-                             mlm_loss_value, param_count, shape_audit)
+from growtrain.model import (ModelConfig, attention_apply, attention_backward,
+                             attention_forward, build_pooling, encoder_apply,
+                             encoder_backward, encoder_forward, ffn_apply,
+                             ffn_backward, ffn_forward, init_params, mlm_loss,
+                             mlm_loss_value, param_count, shape_audit,
+                             zero_grads)
 from growtrain.rng import Rng
 
 from conftest import random_batch
@@ -277,21 +279,31 @@ class TestPooling:
         npt.assert_array_equal(P[2], np.eye(5)[4])
 
 
+def layer0_output_rows(cache) -> int:
+    """Rows of the first layer's output: the second layer's keys and values
+    are its layer norm, one per row."""
+    return cache["layers"][1]["attn"]["x_kv"].shape[0]
+
+
 class TestEncoder:
-    def test_pool_k1_degenerates_to_standard(self, tiny_config, tiny_params):
+    def test_pool_k1_degenerates_to_standard(self, tiny_config):
+        cfg = tiny_config.with_(L=2)
+        params = init_params(cfg, Rng(11).fork("init"))
         ids = np.array([1, 2, 3, 4, 0, 2])
-        logits, hidden = encoder_forward(ids, [1, 3], tiny_params, tiny_config,
-                                         Rng(0))
-        assert hidden.shape == (6, 4)
+        logits, hidden, cache = encoder_apply(ids, [1, 3], params, cfg, Rng(0),
+                                              training=False)
+        assert layer0_output_rows(cache) == 6
+        assert hidden.shape == (2, 4)
         assert logits.shape == (2, 5)
 
     def test_pooled_length_arithmetic(self):
-        cfg = ModelConfig(L=1, D=4, H=8, M=2, N_max=8, V=5, dropout_p=0.0,
+        cfg = ModelConfig(L=2, D=4, H=8, M=2, N_max=8, V=5, dropout_p=0.0,
                           pool_k=2)
         params = init_params(cfg, Rng(12).fork("init"))
         ids = np.arange(8) % 5
-        _, hidden = encoder_forward(ids, [], params, cfg, Rng(0))
-        assert hidden.shape[0] == 4
+        _, hidden, cache = encoder_apply(ids, [], params, cfg, Rng(0), training=False)
+        assert layer0_output_rows(cache) == 4
+        assert hidden.shape == (0, 4)
 
     def test_hand_computed_single_layer_forward(self):
         """Independent straight-line evaluation of the full forward pass."""
@@ -347,6 +359,149 @@ class TestEncoder:
         with pytest.raises(InputError):
             encoder_forward(np.zeros(9, dtype=int), [], tiny_params,
                             tiny_config, Rng(0))
+
+
+def full_row_encoder_apply(token_ids, masked_positions, params, config, rng, training):
+    """The encoder before the last layer was trimmed: every layer computes
+    every row of its query stream, and the head reads the masked rows of
+    the full final stream.  The oracle for ``encoder_apply``."""
+    token_ids = np.asarray(token_ids, dtype=np.int64)
+    n = token_ids.shape[0]
+    masked = np.asarray(list(masked_positions), dtype=np.int64)
+    x = params["token_emb"][token_ids] + params["pos_emb"][:n]
+    if config.pool_k > 1:
+        P, pooled_masked = build_pooling(n, masked, config.pool_k)
+    else:
+        P, pooled_masked = None, masked
+    layers = []
+    for i in range(config.L):
+        lp = f"layer{i}."
+        rng_a = rng.fork(f"layer{i}.attn")
+        rng_f = rng.fork(f"layer{i}.ffn")
+        ln1, ln1_cache = ops.layer_norm(x, params[lp + "ln_attn.gain"],
+                                        params[lp + "ln_attn.bias"], 1e-12)
+        if i == 0 and P is not None:
+            att, acache = attention_apply(P @ ln1, ln1, params, i, config, rng_a, training)
+            x = P @ x + att
+        else:
+            att, acache = attention_apply(ln1, ln1, params, i, config, rng_a, training)
+            x = x + att
+        ln2, ln2_cache = ops.layer_norm(x, params[lp + "ln_ffn.gain"],
+                                        params[lp + "ln_ffn.bias"], 1e-12)
+        f, fcache = ffn_apply(ln2, params, i, config, rng_f, training)
+        x = x + f
+        layers.append({"ln_attn": ln1_cache, "ln_ffn": ln2_cache,
+                       "attn": acache, "ffn": fcache})
+    rows = x[pooled_masked] if pooled_masked.size else np.zeros((0, config.D))
+    logits = rows @ params["head.w"] + params["head.b"]
+    cache = {"token_ids": token_ids, "n": n, "P": P, "pooled_masked": pooled_masked,
+             "layers": layers, "hidden": x, "rows": rows,
+             "params": params, "config": config}
+    return logits, cache
+
+
+def full_row_encoder_backward(g_logits, cache, grads):
+    """Adjoint of ``full_row_encoder_apply``: zero gradient on every final
+    row the head does not read, pushed back through the whole last layer."""
+    params, config = cache["params"], cache["config"]
+    grads["head.w"] += cache["rows"].T @ g_logits
+    grads["head.b"] += g_logits.sum(axis=0)
+    g_x = np.zeros_like(cache["hidden"])
+    if cache["pooled_masked"].size:
+        g_x[cache["pooled_masked"]] += g_logits @ params["head.w"].T
+    P = cache["P"]
+    for i in reversed(range(config.L)):
+        lc = cache["layers"][i]
+        lp = f"layer{i}."
+        g_ln2, fgrads = ffn_backward(g_x, lc["ffn"])
+        for name, t in fgrads.items():
+            grads[name] += t
+        d_xmid, dgain, dbias = ops.layer_norm_backward(
+            g_ln2, lc["ln_ffn"], params[lp + "ln_ffn.gain"])
+        grads[lp + "ln_ffn.gain"] += dgain
+        grads[lp + "ln_ffn.bias"] += dbias
+        g_x = g_x + d_xmid
+        g_xq, g_xkv, agrads = attention_backward(g_x, lc["attn"])
+        for name, t in agrads.items():
+            grads[name] += t
+        if i == 0 and P is not None:
+            d_xin, dgain, dbias = ops.layer_norm_backward(
+                P.T @ g_xq + g_xkv, lc["ln_attn"], params[lp + "ln_attn.gain"])
+            g_x = P.T @ g_x + d_xin
+        else:
+            d_xin, dgain, dbias = ops.layer_norm_backward(
+                g_xq + g_xkv, lc["ln_attn"], params[lp + "ln_attn.gain"])
+            g_x = g_x + d_xin
+        grads[lp + "ln_attn.gain"] += dgain
+        grads[lp + "ln_attn.bias"] += dbias
+    np.add.at(grads["token_emb"], cache["token_ids"], g_x)
+    grads["pos_emb"][:cache["n"]] += g_x
+
+
+ORACLE_N = 32
+ORACLE_MASKS = {
+    "one_at_0": [0],
+    "one_at_end": [ORACLE_N - 1],
+    "two_adjacent": [14, 15],
+    "two_at_ends": [0, ORACLE_N - 1],
+    "nineteen": [0, 1, 5, 6, 7, 9, 12, 13, 16, 18, 19, 20, 23, 25, 26, 28, 29, 30, 31],
+}
+FFN_MODES = {"full": {}, "shared": {"ffn_k": 2}, "factorized": {"ffn_h": 3}}
+
+
+class TestTrimmedLastLayer:
+    """The last layer computes only the rows the head reads; the full-row
+    encoder above is the oracle, with dropout on and the same streams."""
+
+    @pytest.mark.parametrize("masks", sorted(ORACLE_MASKS))
+    @pytest.mark.parametrize("mode", sorted(FFN_MODES))
+    @pytest.mark.parametrize("pool_k", [1, 2])
+    @pytest.mark.parametrize("L", [1, 2, 4])
+    def test_matches_full_row_oracle(self, L, pool_k, mode, masks):
+        cfg = ModelConfig(L=L, D=8, H=16, M=2, N_max=ORACLE_N, V=11, dropout_p=0.3,
+                          ffn_mode=mode, pool_k=pool_k, **FFN_MODES[mode])
+        params = init_params(cfg, Rng(40).fork("init"))
+        data = Rng(41 + L)
+        for name, t in params.items():   # leave the near-zero init behind
+            t += data.fork(name).normal(0.0, 0.3, t.shape)
+        masked = ORACLE_MASKS[masks]
+        ids = data.integers(1, cfg.V, size=ORACLE_N)
+        targets = data.integers(1, cfg.V, size=len(masked))
+
+        logits, hidden, cache = encoder_apply(ids, masked, params, cfg,
+                                              Rng(42).fork("seq0"), training=True)
+        ref_logits, ref_cache = full_row_encoder_apply(ids, masked, params, cfg,
+                                                       Rng(42).fork("seq0"), training=True)
+        assert cache["layers"][-1]["attn"]["mask"].size
+        assert not cache["layers"][-1]["attn"]["mask"].all()
+        npt.assert_allclose(logits, ref_logits, rtol=1e-12, atol=1e-15)
+        npt.assert_allclose(hidden, ref_cache["rows"], rtol=1e-12, atol=1e-15)
+        loss, g_logits = ops.cross_entropy_logits(logits, targets)
+        ref_loss, ref_g = ops.cross_entropy_logits(ref_logits, targets)
+        npt.assert_allclose(loss, ref_loss, rtol=1e-12, atol=1e-15)
+
+        grads, ref_grads = zero_grads(params), zero_grads(params)
+        encoder_backward(g_logits, cache, grads)
+        full_row_encoder_backward(ref_g, ref_cache, ref_grads)
+        for name in params:
+            npt.assert_allclose(grads[name], ref_grads[name], rtol=1e-12, atol=1e-15,
+                                err_msg=name)
+
+    @pytest.mark.parametrize("pool_k", [1, 2])
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_last_layer_attends_from_masked_rows_only(self, L, pool_k):
+        cfg = ModelConfig(L=L, D=8, H=16, M=2, N_max=ORACLE_N, V=11, dropout_p=0.1,
+                          pool_k=pool_k)
+        params = init_params(cfg, Rng(43).fork("init"))
+        ids = np.arange(ORACLE_N) % 10 + 1
+        masked = ORACLE_MASKS["two_adjacent"]
+        _, hidden, cache = encoder_apply(ids, masked, params, cfg, Rng(0), training=True)
+        last = cache["layers"][-1]
+        n_kv = last["attn"]["x_kv"].shape[0]
+        assert last["attn"]["probs"].shape == (2, 2, n_kv)
+        assert last["attn"]["mask"].shape == (2, 2, n_kv)
+        assert last["ffn"]["x"].shape == (2, 8)
+        assert hidden.shape == (2, 8)
 
 
 class TestMlmLoss:
