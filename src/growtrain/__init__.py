@@ -8,8 +8,8 @@ and a staged AdamW training loop. Everything is deterministic per seed.
 
 from .costs import StagePlan, attn_mult_adds, ffn_mult_adds, schedule_cost
 from .data import DataConfig, gen_corpus, make_batch, mask_tokens, truncate
-from .growth import (DefactorizeFFN, ExtendLength, StackDepth, UnshareFFN,
-                     Unpool, apply, parse_ops, verify_function_preserving)
+from .growth import (DefactorizeFFN, StackDepth, UnshareFFN, Unpool, apply,
+                     parse_ops, verify_function_preserving)
 from .model import (ModelConfig, attention_forward, encoder_forward,
                     ffn_forward, init_params, mlm_loss, param_count,
                     shape_audit)
@@ -20,7 +20,7 @@ from .train import (OptimizerConfig, Schedule, Stage, lr_at,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DataConfig", "DefactorizeFFN", "ExtendLength", "ModelConfig",
+    "DataConfig", "DefactorizeFFN", "ModelConfig",
     "OptimizerConfig", "Rng", "Schedule", "Stage", "StackDepth", "StagePlan",
     "UnshareFFN", "Unpool", "apply", "attention_forward", "attn_mult_adds",
     "encoder_forward", "ffn_forward", "ffn_mult_adds", "gen_corpus",

@@ -18,7 +18,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_run_config
 from .costs import format_report, report_to_dict, schedule_cost
 from .data import gen_corpus, mask_tokens, truncate
-from .errors import GrowtrainError
+from .errors import GrowtrainError, ParamError
 from .rng import Rng
 from .train import evaluate, run_schedule
 
@@ -75,31 +75,18 @@ def _probe_batch(ckpt, batch_size: int, seed: int):
     return np.stack(ids), np.stack(positions)
 
 
-def _cmd_plan(args) -> int:
+def _cmd_cost(args) -> int:
+    """``plan`` and ``flops``: the schedule's cost report; only ``plan``
+    compares it with the baseline."""
     rc = load_run_config(args.config)
     report = schedule_cost(rc.schedule.stage_plans(), rc.schedule.baseline_plans(),
                            count_overhead=rc.cost.count_overhead,
                            flops_x2=rc.cost.flops_x2)
+    baseline = args.command == "plan"
     if args.json:
-        print(json.dumps(report_to_dict(report), indent=1))
+        print(json.dumps(report_to_dict(report, baseline), indent=1))
     else:
-        print(format_report(report))
-    return 0
-
-
-def _cmd_flops(args) -> int:
-    rc = load_run_config(args.config)
-    report = schedule_cost(rc.schedule.stage_plans(), rc.schedule.baseline_plans(),
-                           count_overhead=rc.cost.count_overhead,
-                           flops_x2=rc.cost.flops_x2)
-    if args.json:
-        doc = report_to_dict(report)
-        del doc["speedup_vs_baseline"], doc["baseline_total"]
-        print(json.dumps(doc, indent=1))
-    else:
-        lines = format_report(report).splitlines()
-        print("\n".join(line for line in lines
-                        if not line.startswith(("baseline", "speedup"))))
+        print(format_report(report, baseline))
     return 0
 
 
@@ -113,14 +100,22 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _cli_ops(spec: str) -> list:
+    """An ``--op`` list, which must name at least one op."""
+    ops_list = growth.parse_ops(spec)
+    if not ops_list:
+        raise ParamError("--op names no growth op")
+    return ops_list
+
+
 def _cmd_grow(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    ops_list = growth.parse_ops(args.op)
+    ops_list = _cli_ops(args.op)
     params, config, dc = growth.apply(ops_list, ckpt.params, ckpt.model_config,
                                       ckpt.data_config)
     save_checkpoint(args.out, params, config, dc, ckpt.stage_index,
                     ckpt.global_step, ckpt.rng_state,
-                    extra={"boundary_ops": [growth.format_op(o) for o in ops_list]})
+                    extra={"boundary_ops": [o.spec for o in ops_list]})
     print(f"grew {args.op}: L={config.L}, ffn_mode={config.ffn_mode}, "
           f"pool_k={config.pool_k} -> {args.out}")
     return 0
@@ -128,11 +123,10 @@ def _cmd_grow(args) -> int:
 
 def _cmd_verify(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    ops_list = growth.parse_ops(args.op)
+    ops_list = _cli_ops(args.op)
     probe = _probe_batch(ckpt, args.batch, args.seed)
     report = growth.verify_function_preserving(
-        ckpt.params, ckpt.model_config, ops_list, probe, tol=args.tol,
-        data_config=ckpt.data_config)
+        ckpt.params, ckpt.model_config, ops_list, probe, tol=args.tol)
     kind = "preservation-class" if report.preservation_class else "report-only"
     print(f"op {report.op} ({kind}): max abs diff {report.max_abs_diff:.3e} "
           f"(tol {report.tol:.1e})")
@@ -155,8 +149,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_COMMANDS = {"plan": _cmd_plan, "train": _cmd_train, "grow": _cmd_grow,
-             "verify": _cmd_verify, "flops": _cmd_flops, "eval": _cmd_eval}
+_COMMANDS = {"plan": _cmd_cost, "train": _cmd_train, "grow": _cmd_grow,
+             "verify": _cmd_verify, "flops": _cmd_cost, "eval": _cmd_eval}
 
 
 def cli(argv=None) -> int:

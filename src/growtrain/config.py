@@ -5,8 +5,10 @@ The ``model`` section declares the *final* architecture; optional
 ``model.init`` overrides describe the reduced stage-0 model (fewer layers,
 shared/factorized FFN, query pooling).  The schedule's growth-op strings
 must compose the initial config back to the declared final one; this is
-validated before any run.  Ships with the stacking and compound presets at
-both paper dims (BERT-base) and desk-scale dims.
+validated before any run.  A stage that omits ``train_len`` or
+``masks_per_seq`` inherits the previous stage's value (``train.stage_data``);
+stage 0 defaults to ``seq_len_full`` and 1 mask.  Ships with the stacking and
+compound presets at both paper dims (BERT-base) and desk-scale dims.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         stages.append(Stage(
             steps=_need(s, "steps", path, int),
             ops_at_start=ops,
-            train_len=int(s.get("train_len", data0.seq_len_full)),
-            masks_per_seq=int(s.get("masks_per_seq", data0.masks_per_seq)),
+            train_len=int(s.get("train_len", 0)),
+            masks_per_seq=int(s.get("masks_per_seq", 0)),
             batch_size=int(s.get("batch_size", 16)),
         ))
 
@@ -138,7 +140,6 @@ def parse_run_config(doc: dict) -> RunConfig:
         beta1=float(betas[0]), beta2=float(betas[1]),
         eps=float(o.get("eps", 1e-6)),
         weight_decay=float(o.get("weight_decay", 0.01)),
-        carry_moments=bool(o.get("carry_moments", False)),
     )
     c = doc.get("cost", {})
     cost = CostFlags(count_overhead=bool(c.get("count_overhead", True)),

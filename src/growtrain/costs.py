@@ -141,23 +141,23 @@ def schedule_cost(plans: list[StagePlan], baseline_plans: list[StagePlan],
                       unit="flops" if flops_x2 else "mult-adds")
 
 
-def format_report(report: CostReport) -> str:
+def format_report(report: CostReport, baseline: bool = True) -> str:
     lines = [f"{'stage':>5} {'steps':>9} {'layers/step':>16} "
              f"{'overhead/step':>14} {'stage total':>18} {'params':>12}"]
     for i, s in enumerate(report.stages):
         lines.append(f"{i:>5} {s.steps:>9} {s.layer_mult_adds:>16} "
                      f"{s.overhead_mult_adds:>14} {s.stage_total:>18} {s.params:>12}")
     lines.append(f"total ({report.unit}): {report.total}")
-    lines.append(f"baseline total:      {report.baseline_total}")
-    lines.append(f"speedup vs baseline: {report.speedup_vs_baseline * 100:+.1f}%")
+    if baseline:
+        lines.append(f"baseline total:      {report.baseline_total}")
+        lines.append(f"speedup vs baseline: {report.speedup_vs_baseline * 100:+.1f}%")
     return "\n".join(lines)
 
 
-def report_to_dict(report: CostReport) -> dict:
-    return {
-        "unit": report.unit,
-        "stages": [vars(s) for s in report.stages],
-        "total": report.total,
-        "baseline_total": report.baseline_total,
-        "speedup_vs_baseline": report.speedup_vs_baseline,
-    }
+def report_to_dict(report: CostReport, baseline: bool = True) -> dict:
+    doc = {"unit": report.unit, "stages": [vars(s) for s in report.stages],
+           "total": report.total}
+    if baseline:
+        doc.update(baseline_total=report.baseline_total,
+                   speedup_vs_baseline=report.speedup_vs_baseline)
+    return doc

@@ -1,18 +1,17 @@
 """Growth operators applied between training stages.
 
-Each operator maps (params, config, data_config) to a larger state; inputs
-are never mutated.  The operator functions, and ``fold`` which composes
-them, return dicts that still reference the input tensors they leave
-unchanged; ``apply`` returns tensors that share memory with neither its
-input nor each other, so they can be trained.  UnshareFFN and DefactorizeFFN
-are exactly output-preserving; StackDepth and Unpool change the computed
-function and are verified report-only.
+Each operator is one frozen dataclass, registered in ``OPS``.  Inputs are
+never mutated.  ``GrowthOp.params`` and ``fold``, which composes the ops,
+return dicts that still reference the input tensors they leave unchanged;
+``apply`` returns tensors that share memory with neither its input nor each
+other, so they can be trained.  UnshareFFN and DefactorizeFFN are exactly
+output-preserving; StackDepth and Unpool change the computed function and
+are verified report-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Union
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,162 +20,139 @@ from .model import ModelConfig, encoder_forward
 from .rng import Rng
 
 
-@dataclass(frozen=True)
-class StackDepth:
-    target_L: int
+class GrowthOp:
+    """An op's whole contract.  Class attributes: ``name`` (the spec
+    prefix), ``order`` (0 depth, 1 width, 2 length: the composition order)
+    and ``preserving`` (whether the model's outputs stay unchanged).
+    Methods: ``config(cfg)`` validates, then returns the grown config;
+    ``params(p, cfg)`` returns the grown tensor map of a model at ``cfg``."""
+
+    @property
+    def spec(self) -> str:
+        """``name[:arg...]``, the form ``parse_op`` reads."""
+        return ":".join([self.name, *(str(getattr(self, f.name)) for f in fields(self))])
 
 
 @dataclass(frozen=True)
-class UnshareFFN:
-    pass
-
-
-@dataclass(frozen=True)
-class DefactorizeFFN:
-    pass
-
-
-@dataclass(frozen=True)
-class Unpool:
-    pass
-
-
-@dataclass(frozen=True)
-class ExtendLength:
-    new_train_len: int
-    new_masks_per_seq: int
-
-
-GrowthOp = Union[StackDepth, UnshareFFN, DefactorizeFFN, Unpool, ExtendLength]
-
-PRESERVING_OPS = (UnshareFFN, DefactorizeFFN)
-
-# Fixed composition order at a stage boundary: depth, width, length.
-_ORDER = {StackDepth: 0, UnshareFFN: 1, DefactorizeFFN: 1, Unpool: 2, ExtendLength: 2}
-
-
-def grow_depth_stack(params: dict, config: ModelConfig, target_L: int):
+class StackDepth(GrowthOp):
     """Repeat the trained layer stack: new layer l copies source layer l mod L."""
-    if target_L < config.L or target_L % config.L != 0:
-        raise ParamError(
-            f"stack target {target_L} must be a positive multiple of L={config.L}")
-    new_params = {}
-    layer_keys = [k for k in params if k.startswith("layer")]
-    for name, t in params.items():
-        if not name.startswith("layer"):
-            new_params[name] = t
-    for i in range(target_L):
-        src = i % config.L
-        src_prefix = f"layer{src}."
-        for name in layer_keys:
-            if name.startswith(src_prefix):
-                new_params[f"layer{i}." + name[len(src_prefix):]] = params[name]
-    return new_params, config.with_(L=target_L)
+    target_L: int
+    name = "stack"
+    order = 0
+    preserving = False
 
-
-def grow_ffn_unshare(params: dict, config: ModelConfig):
-    """Tile k copies of W1' horizontally and k copies of W2'/k vertically."""
-    if config.ffn_mode != "shared":
-        raise StateError(f"unshare requires shared FFN mode, got {config.ffn_mode!r}")
-    k = config.ffn_k
-    new_params = {}
-    for name, t in params.items():
-        if name.endswith("ffn.w1s"):
-            new_params[name[:-len("w1s")] + "w1"] = np.concatenate([t] * k, axis=1)
-        elif name.endswith("ffn.w2s"):
-            new_params[name[:-len("w2s")] + "w2"] = np.concatenate([t / k] * k, axis=0)
-        else:
-            new_params[name] = t
-    return new_params, config.with_(ffn_mode="full", ffn_k=1)
-
-
-def grow_ffn_defactorize(params: dict, config: ModelConfig):
-    """Multiply the thin factors out: W1 = W11 W12, W2 = W21 W22."""
-    if config.ffn_mode != "factorized":
-        raise StateError(
-            f"defactorize requires factorized FFN mode, got {config.ffn_mode!r}")
-    new_params = {}
-    for i in range(config.L):
-        p = f"layer{i}.ffn."
-        new_params[p + "w1"] = params[p + "w11"] @ params[p + "w12"]
-        new_params[p + "w2"] = params[p + "w21"] @ params[p + "w22"]
-    factor_suffixes = ("ffn.w11", "ffn.w12", "ffn.w21", "ffn.w22")
-    for name, t in params.items():
-        if not name.endswith(factor_suffixes):
-            new_params[name] = t
-    return new_params, config.with_(ffn_mode="full", ffn_h=0)
-
-
-def grow_remove_pooling(params: dict, config: ModelConfig):
-    """Drop the query-pooling stage; every parameter is bit-identical."""
-    if config.pool_k <= 1:
-        raise StateError("unpool requires pool_k > 1")
-    return dict(params), config.with_(pool_k=1)
-
-
-def extend_length(data_config, new_train_len: int, new_masks_per_seq: int):
-    """Raise the data pipeline's truncation length and masks per sequence."""
-    if new_train_len < data_config.train_len:
-        raise ParamError(
-            f"extend: new length {new_train_len} below current {data_config.train_len}")
-    if new_train_len > data_config.seq_len_full:
-        raise ParamError(
-            f"extend: new length {new_train_len} exceeds full length "
-            f"{data_config.seq_len_full}")
-    if not 0 < new_masks_per_seq < new_train_len:
-        raise ParamError(f"extend: masks {new_masks_per_seq} out of range")
-    return replace(data_config, train_len=new_train_len,
-                   masks_per_seq=new_masks_per_seq)
-
-
-def apply_to_config(op: GrowthOp, config: ModelConfig, data_config):
-    """Config-only transition (used by schedule validation and cost plans)."""
-    if isinstance(op, StackDepth):
-        if op.target_L < config.L or op.target_L % config.L != 0:
+    def config(self, cfg):
+        if self.target_L < cfg.L or self.target_L % cfg.L != 0:
             raise ParamError(
-                f"stack target {op.target_L} must be a positive multiple of L={config.L}")
-        return config.with_(L=op.target_L), data_config
-    if isinstance(op, UnshareFFN):
-        if config.ffn_mode != "shared":
-            raise StateError(f"unshare requires shared FFN mode, got {config.ffn_mode!r}")
-        return config.with_(ffn_mode="full", ffn_k=1), data_config
-    if isinstance(op, DefactorizeFFN):
-        if config.ffn_mode != "factorized":
+                f"stack target {self.target_L} must be a positive multiple of L={cfg.L}")
+        return cfg.with_(L=self.target_L)
+
+    def params(self, p, cfg):
+        new_params = {name: t for name, t in p.items() if not name.startswith("layer")}
+        layer_keys = [k for k in p if k.startswith("layer")]
+        for i in range(self.target_L):
+            src_prefix = f"layer{i % cfg.L}."
+            for name in layer_keys:
+                if name.startswith(src_prefix):
+                    new_params[f"layer{i}." + name[len(src_prefix):]] = p[name]
+        return new_params
+
+
+@dataclass(frozen=True)
+class UnshareFFN(GrowthOp):
+    """Tile k copies of W1' horizontally and k copies of W2'/k vertically."""
+    name = "unshare"
+    order = 1
+    preserving = True
+
+    def config(self, cfg):
+        if cfg.ffn_mode != "shared":
+            raise StateError(f"unshare requires shared FFN mode, got {cfg.ffn_mode!r}")
+        return cfg.with_(ffn_mode="full", ffn_k=1)
+
+    def params(self, p, cfg):
+        k = cfg.ffn_k
+        new_params = {}
+        for name, t in p.items():
+            if name.endswith("ffn.w1s"):
+                new_params[name[:-len("w1s")] + "w1"] = np.concatenate([t] * k, axis=1)
+            elif name.endswith("ffn.w2s"):
+                new_params[name[:-len("w2s")] + "w2"] = np.concatenate([t / k] * k, axis=0)
+            else:
+                new_params[name] = t
+        return new_params
+
+
+@dataclass(frozen=True)
+class DefactorizeFFN(GrowthOp):
+    """Multiply the thin factors out: W1 = W11 W12, W2 = W21 W22."""
+    name = "defactorize"
+    order = 1
+    preserving = True
+
+    def config(self, cfg):
+        if cfg.ffn_mode != "factorized":
             raise StateError(
-                f"defactorize requires factorized FFN mode, got {config.ffn_mode!r}")
-        return config.with_(ffn_mode="full", ffn_h=0), data_config
-    if isinstance(op, Unpool):
-        if config.pool_k <= 1:
+                f"defactorize requires factorized FFN mode, got {cfg.ffn_mode!r}")
+        return cfg.with_(ffn_mode="full", ffn_h=0)
+
+    def params(self, p, cfg):
+        new_params = {}
+        for i in range(cfg.L):
+            pre = f"layer{i}.ffn."
+            new_params[pre + "w1"] = p[pre + "w11"] @ p[pre + "w12"]
+            new_params[pre + "w2"] = p[pre + "w21"] @ p[pre + "w22"]
+        factor_suffixes = ("ffn.w11", "ffn.w12", "ffn.w21", "ffn.w22")
+        for name, t in p.items():
+            if not name.endswith(factor_suffixes):
+                new_params[name] = t
+        return new_params
+
+
+@dataclass(frozen=True)
+class Unpool(GrowthOp):
+    """Drop the query-pooling stage; every parameter is bit-identical."""
+    name = "unpool"
+    order = 2
+    preserving = False
+
+    def config(self, cfg):
+        if cfg.pool_k <= 1:
             raise StateError("unpool requires pool_k > 1")
-        return config.with_(pool_k=1), data_config
-    if isinstance(op, ExtendLength):
-        return config, extend_length(data_config, op.new_train_len, op.new_masks_per_seq)
-    raise ParamError(f"unknown growth op {op!r}")
+        return cfg.with_(pool_k=1)
+
+    def params(self, p, cfg):
+        return dict(p)
+
+
+# Spec prefix -> op class: the one table an operator is registered in.
+OPS = {cls.name: cls for cls in (StackDepth, UnshareFFN, DefactorizeFFN, Unpool)}
+
+
+def _ordered(ops_list) -> list:
+    """The ops in the fixed depth, width, length composition order."""
+    return sorted(ops_list, key=lambda op: op.order)
+
+
+def grown_config(ops_list, config: ModelConfig) -> ModelConfig:
+    """The config ``fold`` ends at, validated, without touching a tensor."""
+    for op in _ordered(ops_list):
+        config = op.config(config)
+    return config
 
 
 def fold(ops_list, params: dict, config: ModelConfig, data_config):
-    """Apply a list of growth ops in the fixed depth, width, length order.
+    """Apply a list of growth ops in the fixed depth, width, length order;
+    ``data_config`` passes through unchanged.
 
     The result references every input tensor an op leaves unchanged, and
     ``stack`` repeats source layers under several names, so it is for
     reading only (forward passes); ``apply`` returns owned tensors.
     """
-    ordered = sorted(ops_list, key=lambda op: _ORDER[type(op)])
     grown = params
-    for op in ordered:
-        if isinstance(op, StackDepth):
-            grown, config = grow_depth_stack(grown, config, op.target_L)
-        elif isinstance(op, UnshareFFN):
-            grown, config = grow_ffn_unshare(grown, config)
-        elif isinstance(op, DefactorizeFFN):
-            grown, config = grow_ffn_defactorize(grown, config)
-        elif isinstance(op, Unpool):
-            grown, config = grow_remove_pooling(grown, config)
-        elif isinstance(op, ExtendLength):
-            data_config = extend_length(data_config, op.new_train_len,
-                                        op.new_masks_per_seq)
-        else:
-            raise ParamError(f"unknown growth op {op!r}")
+    for op in _ordered(ops_list):
+        new_config = op.config(config)  # validates before any tensor is read
+        grown, config = op.params(grown, config), new_config
     return grown, config, data_config
 
 
@@ -215,21 +191,18 @@ def _owned(grown: dict, inputs: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def parse_op(token: str) -> GrowthOp:
+    """``<name>[:<int>...]``: one integer per field of the op ``OPS[name]``."""
     token = token.strip()
-    if token == "unshare":
-        return UnshareFFN()
-    if token == "defactorize":
-        return DefactorizeFFN()
-    if token == "unpool":
-        return Unpool()
-    if token.startswith("stack:"):
-        return StackDepth(target_L=int(token.split(":", 1)[1]))
-    if token.startswith("extend:"):
-        parts = token.split(":")
-        if len(parts) != 3:
-            raise ParamError(f"extend spec must be extend:<len>:<masks>, got {token!r}")
-        return ExtendLength(new_train_len=int(parts[1]), new_masks_per_seq=int(parts[2]))
-    raise ParamError(f"unknown growth op spec {token!r}")
+    name, *args = token.split(":")
+    cls = OPS.get(name)
+    if cls is None:
+        raise ParamError(f"unknown growth op spec {token!r}")
+    if len(args) != len(fields(cls)):
+        raise ParamError(f"{name} takes {len(fields(cls))} argument(s), got {token!r}")
+    try:
+        return cls(*map(int, args))
+    except ValueError:
+        raise ParamError(f"{name} arguments must be integers, got {token!r}") from None
 
 
 def parse_ops(spec: str) -> list[GrowthOp]:
@@ -237,18 +210,6 @@ def parse_ops(spec: str) -> list[GrowthOp]:
     if not spec:
         return []
     return [parse_op(tok) for tok in spec.split(",")]
-
-
-def format_op(op: GrowthOp) -> str:
-    if isinstance(op, StackDepth):
-        return f"stack:{op.target_L}"
-    if isinstance(op, UnshareFFN):
-        return "unshare"
-    if isinstance(op, DefactorizeFFN):
-        return "defactorize"
-    if isinstance(op, Unpool):
-        return "unpool"
-    return f"extend:{op.new_train_len}:{op.new_masks_per_seq}"
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +226,7 @@ class PreservationReport:
 
 
 def verify_function_preserving(params: dict, config: ModelConfig, op,
-                               probe_batch, tol: float = 1e-9,
-                               data_config=None) -> PreservationReport:
+                               probe_batch, tol: float = 1e-9) -> PreservationReport:
     """Compare masked-position logits before/after growth (dropout off).
 
     ``op`` may be a single op or a list.  Masked rows survive pooling, so
@@ -281,13 +241,13 @@ def verify_function_preserving(params: dict, config: ModelConfig, op,
     rng = Rng(0)
     before = [encoder_forward(ids[j], masked[j], params, config, rng)[0]
               for j in range(ids.shape[0])]
-    new_params, new_config, _ = fold(ops_list, params, config, data_config)
+    new_params, new_config, _ = fold(ops_list, params, config, None)
     after = [encoder_forward(ids[j], masked[j], new_params, new_config, rng)[0]
              for j in range(ids.shape[0])]
     diff = max(float(np.max(np.abs(b - a))) if b.size else 0.0
                for b, a in zip(before, after))
-    preserving = all(isinstance(o, PRESERVING_OPS) for o in ops_list)
+    preserving = all(o.preserving for o in ops_list)
     passed = (diff <= tol) if preserving else True
-    spec = ",".join(format_op(o) for o in ops_list)
+    spec = ",".join(o.spec for o in ops_list)
     return PreservationReport(op=spec, preservation_class=preserving,
                               max_abs_diff=diff, tol=tol, passed=passed)

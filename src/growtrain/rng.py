@@ -81,6 +81,3 @@ class Rng:
             out[bad] = self._gen.normal(0.0, std, size=int(bad.sum()))
             bad = np.abs(out) > clip * std
         return out
-
-    def state_summary(self) -> dict:
-        return {"seed": self.seed, "path": list(self._path)}

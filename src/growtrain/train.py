@@ -1,8 +1,7 @@
 """Staged training loop: grow at stage boundaries, AdamW in between.
 
 Every stage restarts the learning-rate schedule (linear warmup to the peak,
-linear decay to zero at the stage end) and resets optimizer moments; a flag
-carries moments through shape-preserving growths for experimentation.
+linear decay to zero at the stage end) and resets optimizer moments.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ class Schedule:
         ops applied and the data shape resolved by ``stage_data``."""
         config, dc = self.model0, self.data0
         for stage in self.stages:
-            for op in stage.ops_at_start:
-                config, dc = growth.apply_to_config(op, config, dc)
+            config = growth.grown_config(stage.ops_at_start, config)
             dc = stage_data(stage, dc)
             yield stage, config, dc
 
@@ -99,7 +97,6 @@ class OptimizerConfig:
     beta2: float = 0.999
     eps: float = 1e-6
     weight_decay: float = 0.01
-    carry_moments: bool = False  # keep moments through shape-preserving growth
 
 
 @dataclass
@@ -225,20 +222,14 @@ def run_schedule(schedule: Schedule, seed: int, out_dir=None,
         save_checkpoint(path, params, config, dc, stage_index, global_step,
                         rng_state={"seed": seed, "stage": stage_index,
                                    "global_step": global_step},
-                        extra={"boundary_ops": [growth.format_op(o)
-                                                for o in boundary_ops]})
+                        extra={"boundary_ops": [o.spec for o in boundary_ops]})
         result.checkpoints[label] = str(path)
 
     for t, stage in enumerate(schedule.stages):
         if t > 0:
             write_ckpt(f"stage{t}_pregrowth", t, stage.ops_at_start)
-            params, config, dc = growth.apply(list(stage.ops_at_start),
-                                              params, config, dc)
-            shape_preserving = set(params) == set(opt_state.m)
-            if opt_cfg.carry_moments and shape_preserving:
-                pass  # moments already line up tensor-by-tensor
-            else:
-                opt_state = OptimizerState.fresh(params)
+            params, config, dc = growth.apply(stage.ops_at_start, params, config, dc)
+            opt_state = OptimizerState.fresh(params)
             opt_state.shape_audit(params)
             result.params, result.config, result.data_config = params, config, dc
             write_ckpt(f"stage{t}_postgrowth", t, stage.ops_at_start)
@@ -294,8 +285,7 @@ def loss_continuity_check(ckpt_pre, ckpt_post, probe_batch,
     loss_a = mlm_loss_value(probe_batch, ckpt_post.params, ckpt_post.model_config)
     op_specs = ckpt_post.extra.get("boundary_ops", [])
     ops_list = [growth.parse_op(s) for s in op_specs]
-    preserving = bool(ops_list) and all(
-        isinstance(o, growth.PRESERVING_OPS) for o in ops_list)
+    preserving = bool(ops_list) and all(o.preserving for o in ops_list)
     diff = abs(loss_a - loss_b)
     passed = diff <= tol if (preserving or not ops_list) else True
     return ContinuityReport(loss_before=loss_b, loss_after=loss_a, diff=diff,

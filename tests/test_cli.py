@@ -5,6 +5,8 @@ import pytest
 
 from growtrain.checkpoint import load_checkpoint
 from growtrain.cli import cli
+from growtrain.config import parse_run_config
+from growtrain.train import run_schedule
 
 
 @pytest.fixture
@@ -134,6 +136,14 @@ class TestTrainGrowVerifyEval:
         assert cli(["verify", "--ckpt", str(out / "final"),
                     "--op", "unshare"]) == 1
         assert "error" in capsys.readouterr().err
+        for op in ("stack:abc", "stack:", "", " "):
+            assert cli(["verify", "--ckpt", str(out / "final"), "--op", op]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and "PASS" not in captured.out
+            assert cli(["grow", "--ckpt", str(out / "final"), "--op", op,
+                        "-o", str(tmp_path / "grown")]) == 1
+            assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "grown").exists()
 
     def test_eval_prints_loss(self, small_config, tmp_path, capsys):
         out = tmp_path / "run"
@@ -144,6 +154,30 @@ class TestTrainGrowVerifyEval:
         text = capsys.readouterr().out
         loss = float(text.split(":")[1])
         assert 0.0 < loss < 10.0
+
+
+def test_omitted_data_shape_inherits_previous_stage(tmp_path):
+    """Later stages that omit train_len/masks_per_seq plan and train at
+    stage 0's (32, 5), not at seq_len_full."""
+    doc = {
+        "model": {"L": 2, "D": 8, "H": 16, "M": 2, "N_max": 128, "V": 8,
+                  "init": {"L": 1, "ffn": "shared:2", "pool_k": 2}},
+        "data": {"seed": 0, "corpus_size": 8, "seq_len_full": 128},
+        "schedule": [
+            {"steps": 2, "ops": "", "train_len": 32, "masks_per_seq": 5,
+             "batch_size": 2},
+            {"steps": 2, "ops": "stack:2", "batch_size": 2},
+            {"steps": 2, "ops": "unshare,unpool", "batch_size": 2},
+        ],
+    }
+    rc = parse_run_config(doc)
+    assert [(p.train_len, p.masks_per_seq) for p in rc.schedule.stage_plans()] == [(32, 5)] * 3
+    out = tmp_path / "run"
+    run_schedule(rc.schedule, seed=0, out_dir=out, opt_cfg=rc.optimizer)
+    # each stage's data shape, as the checkpoint after its last step records it
+    for label in ("stage1_pregrowth", "stage2_pregrowth", "final"):
+        dc = load_checkpoint(out / label).data_config
+        assert (dc.train_len, dc.masks_per_seq) == (32, 5), label
 
 
 class TestUsageErrors:

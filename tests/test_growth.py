@@ -5,11 +5,9 @@ import pytest
 from growtrain import growth
 from growtrain.data import DataConfig
 from growtrain.errors import ParamError, StateError
-from growtrain.growth import (DefactorizeFFN, ExtendLength, StackDepth,
-                              UnshareFFN, Unpool, apply, extend_length,
-                              format_op, grow_depth_stack, grow_ffn_defactorize,
-                              grow_ffn_unshare, grow_remove_pooling, parse_op,
-                              parse_ops, verify_function_preserving)
+from growtrain.growth import (OPS, DefactorizeFFN, StackDepth, UnshareFFN,
+                              Unpool, apply, fold, parse_op, parse_ops,
+                              verify_function_preserving)
 from growtrain.model import (ModelConfig, encoder_apply, encoder_forward,
                              init_params, param_count, shape_audit)
 from growtrain.rng import Rng
@@ -23,11 +21,17 @@ def small_config(**kw):
     return ModelConfig(**base)
 
 
+def grow(op, params, cfg):
+    """One op's grown tensor map and config, as ``fold`` composes them."""
+    grown, new_cfg, _ = fold([op], params, cfg, None)
+    return grown, new_cfg
+
+
 class TestStackDepth:
     def test_two_layers_to_four_repeats_block(self):
         cfg = small_config(L=2)
         params = init_params(cfg, Rng(0).fork("init"))
-        grown, new_cfg = grow_depth_stack(params, cfg, 4)
+        grown, new_cfg = grow(StackDepth(4), params, cfg)
         assert new_cfg.L == 4
         for suffix in ("w_q", "w_k_t", "w_v1", "w_v2_t", "ffn.w1", "ffn.w2"):
             npt.assert_array_equal(grown[f"layer2.{suffix}"],
@@ -38,7 +42,7 @@ class TestStackDepth:
     def test_identity_target(self):
         cfg = small_config(L=2)
         params = init_params(cfg, Rng(1).fork("init"))
-        grown, new_cfg = grow_depth_stack(params, cfg, 2)
+        grown, new_cfg = grow(StackDepth(2), params, cfg)
         assert new_cfg == cfg
         for name in params:
             npt.assert_array_equal(grown[name], params[name])
@@ -46,7 +50,7 @@ class TestStackDepth:
     def test_one_to_three_bit_identical_copies(self):
         cfg = small_config(L=1)
         params = init_params(cfg, Rng(2).fork("init"))
-        grown, _ = grow_depth_stack(params, cfg, 3)
+        grown, _ = grow(StackDepth(3), params, cfg)
         for i in (1, 2):
             for suffix in ("w_q", "ffn.w1", "ln_attn.gain"):
                 src = params[f"layer0.{suffix}"]
@@ -57,12 +61,12 @@ class TestStackDepth:
         cfg = small_config(L=2)
         params = init_params(cfg, Rng(3).fork("init"))
         with pytest.raises(ParamError):
-            grow_depth_stack(params, cfg, 3)
+            grow(StackDepth(3), params, cfg)
 
     def test_embeddings_and_head_unchanged(self):
         cfg = small_config(L=1)
         params = init_params(cfg, Rng(4).fork("init"))
-        grown, _ = grow_depth_stack(params, cfg, 2)
+        grown, _ = grow(StackDepth(2), params, cfg)
         for name in ("token_emb", "pos_emb", "head.w", "head.b"):
             assert grown[name].tobytes() == params[name].tobytes()
 
@@ -74,7 +78,7 @@ class TestUnshareFFN:
         params = init_params(cfg, Rng(5).fork("init"))
         params["layer0.ffn.w1s"] = np.array([[1.0, 2.0]])
         params["layer0.ffn.w2s"] = np.array([[3.0], [4.0]])
-        grown, new_cfg = grow_ffn_unshare(params, cfg)
+        grown, new_cfg = grow(UnshareFFN(), params, cfg)
         npt.assert_array_equal(grown["layer0.ffn.w1"], [[1.0, 2.0, 1.0, 2.0]])
         npt.assert_array_equal(grown["layer0.ffn.w2"],
                                [[1.5], [2.0], [1.5], [2.0]])
@@ -83,7 +87,7 @@ class TestUnshareFFN:
     def test_forward_preserved(self):
         cfg = small_config(ffn_mode="shared", ffn_k=2)
         params = init_params(cfg, Rng(6).fork("init"))
-        grown, new_cfg = grow_ffn_unshare(params, cfg)
+        grown, new_cfg = grow(UnshareFFN(), params, cfg)
         ids, masked, _ = random_batch(Rng(7), 1, 6, 2, 5)
         before = encoder_forward(ids[0], masked[0], params, cfg, Rng(0))[0]
         after = encoder_forward(ids[0], masked[0], grown, new_cfg, Rng(0))[0]
@@ -92,7 +96,7 @@ class TestUnshareFFN:
     def test_k1_degenerate_flips_mode(self):
         cfg = small_config(ffn_mode="shared", ffn_k=1)
         params = init_params(cfg, Rng(8).fork("init"))
-        grown, new_cfg = grow_ffn_unshare(params, cfg)
+        grown, new_cfg = grow(UnshareFFN(), params, cfg)
         assert new_cfg.ffn_mode == "full"
         npt.assert_array_equal(grown["layer0.ffn.w1"], params["layer0.ffn.w1s"])
         npt.assert_array_equal(grown["layer0.ffn.w2"], params["layer0.ffn.w2s"])
@@ -101,7 +105,7 @@ class TestUnshareFFN:
         cfg = small_config()
         params = init_params(cfg, Rng(9).fork("init"))
         with pytest.raises(StateError):
-            grow_ffn_unshare(params, cfg)
+            grow(UnshareFFN(), params, cfg)
 
     def test_param_count_multiplies_by_k(self):
         for k in (2, 4):
@@ -118,7 +122,7 @@ class TestDefactorizeFFN:
         params = init_params(cfg, Rng(10).fork("init"))
         params["layer0.ffn.w11"] = np.array([[1.0], [2.0]])
         params["layer0.ffn.w12"] = np.array([[3.0, 4.0]])
-        grown, new_cfg = grow_ffn_defactorize(params, cfg)
+        grown, new_cfg = grow(DefactorizeFFN(), params, cfg)
         npt.assert_array_equal(grown["layer0.ffn.w1"], [[3.0, 4.0], [6.0, 8.0]])
         assert new_cfg.ffn_mode == "full"
 
@@ -128,14 +132,14 @@ class TestDefactorizeFFN:
         params = init_params(cfg, Rng(11).fork("init"))
         params["layer0.ffn.w12"] = np.eye(2)
         params["layer0.ffn.w21"] = np.eye(2)
-        grown, _ = grow_ffn_defactorize(params, cfg)
+        grown, _ = grow(DefactorizeFFN(), params, cfg)
         npt.assert_array_equal(grown["layer0.ffn.w1"], params["layer0.ffn.w11"])
         npt.assert_array_equal(grown["layer0.ffn.w2"], params["layer0.ffn.w22"])
 
     def test_forward_preserved(self):
         cfg = small_config(ffn_mode="factorized", ffn_h=3)
         params = init_params(cfg, Rng(12).fork("init"))
-        grown, new_cfg = grow_ffn_defactorize(params, cfg)
+        grown, new_cfg = grow(DefactorizeFFN(), params, cfg)
         ids, masked, _ = random_batch(Rng(13), 1, 6, 2, 5)
         before = encoder_forward(ids[0], masked[0], params, cfg, Rng(0))[0]
         after = encoder_forward(ids[0], masked[0], grown, new_cfg, Rng(0))[0]
@@ -145,7 +149,7 @@ class TestDefactorizeFFN:
         cfg = small_config()
         params = init_params(cfg, Rng(14).fork("init"))
         with pytest.raises(StateError):
-            grow_ffn_defactorize(params, cfg)
+            grow(DefactorizeFFN(), params, cfg)
 
     def test_param_count_equals_2dh(self):
         cfg = small_config(ffn_mode="factorized", ffn_h=3)
@@ -157,7 +161,7 @@ class TestUnpool:
     def test_params_bit_identical(self):
         cfg = small_config(pool_k=2)
         params = init_params(cfg, Rng(15).fork("init"))
-        grown, new_cfg = grow_remove_pooling(params, cfg)
+        grown, new_cfg = grow(Unpool(), params, cfg)
         assert new_cfg.pool_k == 1
         for name in params:
             assert grown[name].tobytes() == params[name].tobytes()
@@ -165,7 +169,7 @@ class TestUnpool:
     def test_hidden_length_changes(self):
         cfg = small_config(pool_k=2)
         params = init_params(cfg, Rng(16).fork("init"))
-        grown, new_cfg = grow_remove_pooling(params, cfg)
+        grown, new_cfg = grow(Unpool(), params, cfg)
         ids = np.arange(8) % 5
         # the first layer's output length, read from the second layer's keys
         _, _, pooled = encoder_apply(ids, [], params, cfg, Rng(0), training=False)
@@ -187,38 +191,7 @@ class TestUnpool:
         cfg = small_config()
         params = init_params(cfg, Rng(19).fork("init"))
         with pytest.raises(StateError):
-            grow_remove_pooling(params, cfg)
-
-
-class TestExtendLength:
-    def test_paper_scale_lengths(self):
-        dc = DataConfig(V=30522, corpus_size=8, seq_len_full=512, train_len=128,
-                        masks_per_seq=20)
-        out = extend_length(dc, 512, 76)
-        assert (out.train_len, out.masks_per_seq) == (512, 76)
-
-    def test_desk_scale_lengths(self):
-        dc = DataConfig(V=64, corpus_size=8, seq_len_full=128, train_len=32,
-                        masks_per_seq=5)
-        out = extend_length(dc, 128, 19)
-        assert (out.train_len, out.masks_per_seq) == (128, 19)
-
-    def test_identity(self):
-        dc = DataConfig(V=64, corpus_size=8, seq_len_full=128, train_len=32,
-                        masks_per_seq=5)
-        assert extend_length(dc, 32, 5) == dc
-
-    def test_shrink_rejected(self):
-        dc = DataConfig(V=64, corpus_size=8, seq_len_full=128, train_len=32,
-                        masks_per_seq=5)
-        with pytest.raises(ParamError):
-            extend_length(dc, 16, 3)
-
-    def test_beyond_full_length_rejected(self):
-        dc = DataConfig(V=64, corpus_size=8, seq_len_full=128, train_len=32,
-                        masks_per_seq=5)
-        with pytest.raises(ParamError):
-            extend_length(dc, 256, 38)
+            grow(Unpool(), params, cfg)
 
 
 class TestApply:
@@ -254,9 +227,8 @@ class TestApply:
         snapshot = {k: v.copy() for k, v in params.items()}
         dc = DataConfig(V=5, corpus_size=8, seq_len_full=8, train_len=4,
                         masks_per_seq=1)
-        apply([StackDepth(2), UnshareFFN(), Unpool(), ExtendLength(8, 2)],
-              params, cfg, dc)
-        assert cfg.L == 1 and dc.train_len == 4
+        _, _, new_dc = apply([StackDepth(2), UnshareFFN(), Unpool()], params, cfg, dc)
+        assert cfg.L == 1 and new_dc is dc and dc.train_len == 4
         for name, t in snapshot.items():
             npt.assert_array_equal(params[name], t)
 
@@ -267,7 +239,7 @@ class TestApply:
         ("unshare", {}),
         ("defactorize", {"ffn_mode": "factorized", "ffn_h": 3, "ffn_k": 1}),
         ("unpool", {}),
-        ("extend:8:2", {}),
+        ("stack:4,unpool", {}),
         ("unshare,unpool", {}),
         ("stack:4,unshare,unpool", {}),
     ])
@@ -306,11 +278,19 @@ class TestOpSpecs:
         ("unshare", UnshareFFN()),
         ("defactorize", DefactorizeFFN()),
         ("unpool", Unpool()),
-        ("extend:512:76", ExtendLength(512, 76)),
     ])
     def test_round_trip(self, spec, op):
         assert parse_op(spec) == op
-        assert format_op(op) == spec
+        assert op.spec == spec
+
+    def test_every_registered_op(self):
+        contract = {StackDepth(6): (0, False), UnshareFFN(): (1, True),
+                    DefactorizeFFN(): (1, True), Unpool(): (2, False)}
+        assert set(OPS.values()) == {type(op) for op in contract}
+        for op, (order, preserving) in contract.items():
+            assert OPS[op.name] is type(op)
+            assert parse_op(op.spec) == op
+            assert (op.order, op.preserving) == (order, preserving)
 
     def test_comma_separated_list(self):
         assert parse_ops("unshare, unpool") == [UnshareFFN(), Unpool()]
@@ -321,6 +301,13 @@ class TestOpSpecs:
     def test_unknown_spec_rejected(self):
         with pytest.raises(ParamError):
             parse_op("widen:2")
+
+    # extend: is gone; length growth is the per-stage train_len/masks_per_seq
+    @pytest.mark.parametrize("spec", ["extend:64:8", "stack:abc", "stack:", "stack",
+                                      "stack:2:2", "unshare:2", "stack:1.5"])
+    def test_malformed_spec_rejected(self, spec):
+        with pytest.raises(ParamError):
+            parse_op(spec)
 
 
 class TestPreservationProperty:

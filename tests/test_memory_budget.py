@@ -88,7 +88,7 @@ def test_verify_allocates_only_the_new_tensors(model):
     # a short probe batch keeps the forward passes' share small
     ids, masked, _ = random_batch(Rng(4), 4, 16, 3, cfg.V)
     report, peak = peak_allocation(lambda: growth.verify_function_preserving(
-        params, cfg, ops_list, (ids, masked), data_config=dc))
+        params, cfg, ops_list, (ids, masked)))
     assert report.passed
     # the unshared FFN matrices are most of it; no owned copy of the grown
     # model (its unchanged tensors included) is made

@@ -5,8 +5,8 @@ import pytest
 from growtrain.checkpoint import load_checkpoint
 from growtrain.costs import schedule_cost
 from growtrain.data import DataConfig, gen_corpus
-from growtrain.errors import InputError, StateError, ValidationError
-from growtrain.growth import StackDepth, UnshareFFN, Unpool
+from growtrain.errors import InputError, ParamError, StateError, ValidationError
+from growtrain.growth import StackDepth, UnshareFFN, Unpool, fold
 from growtrain.model import ModelConfig, init_params
 from growtrain.rng import Rng
 from growtrain.train import (OptimizerConfig, OptimizerState, Schedule, Stage,
@@ -154,8 +154,7 @@ class TestAdamW:
         cfg = ModelConfig(L=1, D=4, H=8, M=2, N_max=8, V=5, dropout_p=0.0)
         params = init_params(cfg, Rng(0).fork("init"))
         st = OptimizerState.fresh(params)
-        from growtrain.growth import grow_depth_stack
-        grown, _ = grow_depth_stack(params, cfg, 2)
+        grown, _, _ = fold([StackDepth(2)], params, cfg, None)
         with pytest.raises(StateError):
             st.shape_audit(grown)
         OptimizerState.fresh(grown).shape_audit(grown)
@@ -203,9 +202,26 @@ class TestScheduleValidation:
         result = run_schedule(sched, seed=0)
         assert (result.data_config.train_len, result.data_config.masks_per_seq) == (12, 2)
 
+    def test_ops_validated_in_fold_order(self):
+        # depth before length, as fold applies them: the stack error comes first
+        sched = tiny_schedule(stages=(
+            Stage(steps=2),
+            Stage(steps=2, ops_at_start=(Unpool(), StackDepth(3))),
+        ), L=2)
+        with pytest.raises(ParamError, match="stack target 3"):
+            sched.validate()
+
     def test_resolved_data_shape_validated(self):
         sched = tiny_schedule(stages=(Stage(steps=2, masks_per_seq=16),))
         with pytest.raises(ValidationError, match="stage 0: masks_per_seq"):
+            sched.validate()
+
+    def test_length_beyond_full_rejected(self):
+        sched = tiny_schedule(stages=(
+            Stage(steps=2, train_len=8, masks_per_seq=2),
+            Stage(steps=2, ops_at_start=(UnshareFFN(),), train_len=32),
+        ))
+        with pytest.raises(ValidationError, match="stage 1: train_len 32 exceeds"):
             sched.validate()
 
 
@@ -237,8 +253,8 @@ class TestRunSchedule:
         assert final.global_step == 8
 
     def test_moments_reset_at_boundary_by_default(self, tmp_path):
-        # unshare changes tensor names, so moments must reset either way;
-        # a stack boundary with carry off also resets
+        # unshare changes tensor names, so moments must reset; a stack
+        # boundary resets them too
         sched = tiny_schedule(stages=(
             Stage(steps=3, train_len=16, masks_per_seq=3, batch_size=4),
             Stage(steps=3, ops_at_start=(StackDepth(2),), train_len=16,
