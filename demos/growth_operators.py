@@ -8,16 +8,17 @@ computed function and are reported without a pass requirement.
 
 import numpy as np
 
+from growtrain.data import DataConfig, assemble, gen_corpus
 from growtrain.growth import (DefactorizeFFN, StackDepth, UnshareFFN, Unpool,
                               apply, verify_function_preserving)
 from growtrain.model import ModelConfig, init_params, param_count
 from growtrain.rng import Rng
 
 
-def probe(rng, batch, n, n_masked, V):
-    ids = rng.integers(1, V, size=(batch, n))
-    masked = np.stack([np.sort(rng.choice(n, size=n_masked, replace=False))
-                       for _ in range(batch)])
+def probe(dc, rng, batch):
+    """(ids, masked positions) of the first ``batch`` synthetic sequences."""
+    ids, masked, _ = assemble(gen_corpus(dc, rng.fork("corpus")), np.arange(batch),
+                              dc, rng)
     return ids, masked
 
 
@@ -25,7 +26,9 @@ def main():
     cfg = ModelConfig(L=2, D=16, H=32, M=2, N_max=32, V=32, dropout_p=0.0,
                       ffn_mode="shared", ffn_k=2, pool_k=2)
     params = init_params(cfg, Rng(0).fork("init"))
-    batch = probe(Rng(1), 4, 16, 3, cfg.V)
+    dc = DataConfig(V=cfg.V, corpus_size=4, seq_len_full=16, train_len=16,
+                    masks_per_seq=3)
+    batch = probe(dc, Rng(1).fork("probe"), 4)
 
     print(f"start: L={cfg.L}, ffn={cfg.ffn_mode}(k={cfg.ffn_k}), "
           f"pool_k={cfg.pool_k}, params={param_count(cfg)['total']:,}")

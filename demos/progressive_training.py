@@ -12,20 +12,16 @@ import numpy as np
 
 from growtrain.checkpoint import load_checkpoint
 from growtrain.config import load_run_config
-from growtrain.data import gen_corpus
+from growtrain.data import assemble, gen_corpus
 from growtrain.rng import Rng
 from growtrain.train import (OptimizerConfig, evaluate, loss_continuity_check,
                              run_schedule)
 
 
 def probe(dc, rng, batch):
-    corpus = gen_corpus(dc, rng.fork("probe"))
-    ids = corpus[:batch, :dc.train_len]
-    masked = np.stack([np.sort(r.choice(dc.train_len, size=dc.masks_per_seq,
-                                        replace=False))
-                       for r in (rng.fork(f"m{j}") for j in range(batch))])
-    targets = np.stack([ids[j, masked[j]] for j in range(batch)])
-    return ids, masked, targets
+    """(ids, masked positions, targets) of the first ``batch`` synthetic
+    sequences, masked the way training masks them."""
+    return assemble(gen_corpus(dc, rng.fork("corpus")), np.arange(batch), dc, rng)
 
 
 def main():
@@ -46,7 +42,7 @@ def main():
         for row in result.loss_log:
             print(f"  {row[0]:>3} {row[1]} {row[2]:.2e} {row[3]:.4f}")
 
-        batch = probe(result.data_config, Rng(9), 4)
+        batch = probe(result.data_config, Rng(9).fork("probe"), 4)
         for t in range(1, len(stages)):
             pre = load_checkpoint(out / f"stage{t}_pregrowth")
             post = load_checkpoint(out / f"stage{t}_postgrowth")

@@ -17,7 +17,7 @@ from . import growth
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_run_config
 from .costs import format_report, report_to_dict, schedule_cost
-from .data import gen_corpus, mask_tokens, truncate
+from .data import assemble, gen_corpus
 from .errors import GrowtrainError, ParamError
 from .rng import Rng
 from .train import evaluate, run_schedule
@@ -60,28 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _probe_batch(ckpt, batch_size: int, seed: int):
-    """Synthesize a probe batch consistent with the checkpoint's data config."""
-    dc = ckpt.data_config
-    rng = Rng(seed).fork("probe")
-    corpus = gen_corpus(dc, rng.fork("corpus"))
-    ids, positions = [], []
-    for j in range(batch_size):
-        seq = truncate(corpus[j % corpus.shape[0]], dc.train_len)
-        inp, pos, _ = mask_tokens(seq, dc.masks_per_seq, rng.fork(f"seq{j}"),
-                                  dc.mask_token_id, dc.V)
-        ids.append(inp)
-        positions.append(pos)
-    return np.stack(ids), np.stack(positions)
-
-
 def _cmd_cost(args) -> int:
     """``plan`` and ``flops``: the schedule's cost report; only ``plan``
     compares it with the baseline."""
     rc = load_run_config(args.config)
     report = schedule_cost(rc.schedule.stage_plans(), rc.schedule.baseline_plans(),
-                           count_overhead=rc.cost.count_overhead,
-                           flops_x2=rc.cost.flops_x2)
+                           count_overhead=rc.cost.count_overhead)
     baseline = args.command == "plan"
     if args.json:
         print(json.dumps(report_to_dict(report, baseline), indent=1))
@@ -122,11 +106,17 @@ def _cmd_grow(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.batch < 1:
+        raise ParamError(f"--batch must be >= 1, got {args.batch}")
     ckpt = load_checkpoint(args.ckpt)
     ops_list = _cli_ops(args.op)
-    probe = _probe_batch(ckpt, args.batch, args.seed)
+    # a probe batch of the checkpoint's data shape, corpus rows 0, 1, ...
+    dc = ckpt.data_config
+    rng = Rng(args.seed).fork("probe")
+    ids, masked, _ = assemble(gen_corpus(dc, rng.fork("corpus")),
+                              np.arange(args.batch) % dc.corpus_size, dc, rng)
     report = growth.verify_function_preserving(
-        ckpt.params, ckpt.model_config, ops_list, probe, tol=args.tol)
+        ckpt.params, ckpt.model_config, ops_list, (ids, masked), tol=args.tol)
     kind = "preservation-class" if report.preservation_class else "report-only"
     print(f"op {report.op} ({kind}): max abs diff {report.max_abs_diff:.3e} "
           f"(tol {report.tol:.1e})")

@@ -7,28 +7,31 @@ shared/factorized FFN, query pooling).  The schedule's growth-op strings
 must compose the initial config back to the declared final one; this is
 validated before any run.  A stage that omits ``train_len`` or
 ``masks_per_seq`` inherits the previous stage's value (``train.stage_data``);
-stage 0 defaults to ``seq_len_full`` and 1 mask.  Ships with the stacking and
-compound presets at both paper dims (BERT-base) and desk-scale dims.
+stage 0 defaults to ``seq_len_full`` and 1 mask.  Unknown keys and values of
+the wrong JSON type are rejected.  The stacking and compound presets, at
+paper dims (BERT-base) and desk-scale dims, ship as ``presets/*.json``.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
 
 from .data import DataConfig
-from .errors import ValidationError
+from .errors import ParamError, ValidationError
 from .growth import parse_ops
 from .model import ModelConfig
 from .train import OptimizerConfig, Schedule, Stage
+
+_REQUIRED = object()
+_NUMBER = (int, float)
 
 
 @dataclass
 class CostFlags:
     count_overhead: bool = True
-    flops_x2: bool = False
 
 
 @dataclass
@@ -40,15 +43,30 @@ class RunConfig:
     eval_batch_size: int = 16
 
 
-def _need(section: dict, key: str, path: str, types):
+def _typed(value, types) -> bool:
+    """``isinstance``, except that JSON ``true``/``false`` are only bools."""
+    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
+
+
+def _need(section: dict, key: str, path: str, types, default=_REQUIRED):
+    """``section[key]`` checked against ``types``; ``default`` when absent,
+    or an error if no default is given."""
     if key not in section:
-        raise ValidationError(f"{path}.{key}: missing required key")
+        if default is _REQUIRED:
+            raise ValidationError(f"{path}.{key}: missing required key")
+        return default
     value = section[key]
-    if (isinstance(value, bool) and types is int) or not isinstance(value, types):
+    if not _typed(value, types):
+        expected = "number" if types is _NUMBER else types.__name__
         raise ValidationError(
-            f"{path}.{key}: expected {getattr(types, '__name__', types)}, "
-            f"got {type(value).__name__}")
+            f"{path}.{key}: expected {expected}, got {type(value).__name__}")
     return value
+
+
+def _known(section: dict, path: str, keys: tuple) -> None:
+    for key in section:
+        if key not in keys:
+            raise ValidationError(f"{path}.{key}: unknown key")
 
 
 def _parse_ffn_spec(spec: str, path: str):
@@ -67,187 +85,110 @@ def parse_run_config(doc: dict) -> RunConfig:
     """Validate a config document and build the runnable schedule."""
     if not isinstance(doc, dict):
         raise ValidationError("config root must be an object")
+    _known(doc, "$", ("model", "data", "schedule", "optimizer", "cost",
+                      "eval_batch_size"))
     m = _need(doc, "model", "$", dict)
-    final_kwargs = {
-        "L": _need(m, "L", "$.model", int),
-        "D": _need(m, "D", "$.model", int),
-        "H": _need(m, "H", "$.model", int),
-        "M": _need(m, "M", "$.model", int),
-        "N_max": _need(m, "N_max", "$.model", int),
-        "V": _need(m, "V", "$.model", int),
-        "dropout_p": float(m.get("dropout", 0.1)),
-        "attn_scale": bool(m.get("attn_scale", True)),
-    }
+    _known(m, "$.model", ("L", "D", "H", "M", "N_max", "V", "dropout",
+                          "attn_scale", "init"))
+    final_model = ModelConfig(
+        **{k: _need(m, k, "$.model", int) for k in ("L", "D", "H", "M", "N_max", "V")},
+        dropout_p=float(_need(m, "dropout", "$.model", _NUMBER, 0.1)),
+        attn_scale=_need(m, "attn_scale", "$.model", bool, True))
     try:
-        final_model = ModelConfig(**final_kwargs)
         final_model.validate()
     except ValidationError as exc:
         raise ValidationError(f"$.model: {exc}") from None
 
-    init = m.get("init", {})
-    if not isinstance(init, dict):
-        raise ValidationError("$.model.init: expected object")
-    mode, k, h = _parse_ffn_spec(init.get("ffn", "full"), "$.model.init.ffn")
+    init = _need(m, "init", "$.model", dict, {})
+    _known(init, "$.model.init", ("L", "ffn", "pool_k"))
+    mode, k, h = _parse_ffn_spec(_need(init, "ffn", "$.model.init", str, "full"),
+                                 "$.model.init.ffn")
+    L0 = _need(init, "L", "$.model.init", int, final_model.L)
+    pool_k = _need(init, "pool_k", "$.model.init", int, 1)
     try:
-        model0 = final_model.with_(
-            L=int(init.get("L", final_model.L)),
-            ffn_mode=mode, ffn_k=k, ffn_h=h,
-            pool_k=int(init.get("pool_k", 1)))
+        model0 = final_model.with_(L=L0, ffn_mode=mode, ffn_k=k, ffn_h=h, pool_k=pool_k)
     except ValidationError as exc:
         raise ValidationError(f"$.model.init: {exc}") from None
 
-    d = _need(doc, "data", "$", dict)
-    stages_doc = _need(doc, "schedule", "$", list)
-    if not stages_doc:
-        raise ValidationError("$.schedule: must contain at least one stage")
-    try:
-        data0 = DataConfig(
-            V=final_model.V,
-            corpus_size=_need(d, "corpus_size", "$.data", int),
-            seq_len_full=_need(d, "seq_len_full", "$.data", int),
-            train_len=int(stages_doc[0].get("train_len", d["seq_len_full"])),
-            masks_per_seq=int(stages_doc[0].get("masks_per_seq", 1)),
-            mask_token_id=int(d.get("mask_token_id", 0)),
-            markov_order=int(d.get("markov_order", 1)),
-            seed=_need(d, "seed", "$.data", int),
-        )
-        data0.validate()
-    except ValidationError as exc:
-        raise ValidationError(f"$.data: {exc}") from None
-
     stages = []
-    for i, s in enumerate(stages_doc):
+    for i, s in enumerate(_need(doc, "schedule", "$", list)):
         path = f"$.schedule[{i}]"
         if not isinstance(s, dict):
             raise ValidationError(f"{path}: expected object")
+        _known(s, path, ("steps", "ops", "train_len", "masks_per_seq", "batch_size"))
+        spec = _need(s, "ops", path, str, "")
         try:
-            ops = tuple(parse_ops(s.get("ops", "")))
-        except Exception as exc:
+            ops = tuple(parse_ops(spec))
+        except ParamError as exc:
             raise ValidationError(f"{path}.ops: {exc}") from None
         stages.append(Stage(
             steps=_need(s, "steps", path, int),
             ops_at_start=ops,
-            train_len=int(s.get("train_len", 0)),
-            masks_per_seq=int(s.get("masks_per_seq", 0)),
-            batch_size=int(s.get("batch_size", 16)),
+            train_len=_need(s, "train_len", path, int, 0),
+            masks_per_seq=_need(s, "masks_per_seq", path, int, 0),
+            batch_size=_need(s, "batch_size", path, int, 16),
         ))
+    if not stages:
+        raise ValidationError("$.schedule: must contain at least one stage")
 
-    o = doc.get("optimizer", {})
-    betas = o.get("betas", [0.9, 0.999])
-    optimizer = OptimizerConfig(
-        peak_lr=float(o.get("peak_lr", 1e-4)),
-        warmup=int(o.get("warmup", 10_000)),
-        beta1=float(betas[0]), beta2=float(betas[1]),
-        eps=float(o.get("eps", 1e-6)),
-        weight_decay=float(o.get("weight_decay", 0.01)),
+    d = _need(doc, "data", "$", dict)
+    _known(d, "$.data", ("seed", "corpus_size", "seq_len_full", "mask_token_id",
+                         "markov_order"))
+    seq_len_full = _need(d, "seq_len_full", "$.data", int)
+    data0 = DataConfig(
+        V=final_model.V,
+        corpus_size=_need(d, "corpus_size", "$.data", int),
+        seq_len_full=seq_len_full,
+        train_len=stages[0].train_len or seq_len_full,
+        masks_per_seq=stages[0].masks_per_seq or 1,
+        mask_token_id=_need(d, "mask_token_id", "$.data", int, 0),
+        markov_order=_need(d, "markov_order", "$.data", int, 1),
+        seed=_need(d, "seed", "$.data", int),
     )
-    c = doc.get("cost", {})
-    cost = CostFlags(count_overhead=bool(c.get("count_overhead", True)),
-                     flops_x2=bool(c.get("flops_x2", False)))
+    try:
+        data0.validate()
+    except ValidationError as exc:
+        raise ValidationError(f"$.data: {exc}") from None
+
+    o = _need(doc, "optimizer", "$", dict, {})
+    _known(o, "$.optimizer", ("peak_lr", "warmup", "betas", "eps", "weight_decay"))
+    betas = _need(o, "betas", "$.optimizer", list, [0.9, 0.999])
+    if len(betas) != 2 or not all(_typed(b, _NUMBER) for b in betas):
+        raise ValidationError("$.optimizer.betas: expected a list of two numbers")
+    optimizer = OptimizerConfig(
+        peak_lr=float(_need(o, "peak_lr", "$.optimizer", _NUMBER, 1e-4)),
+        warmup=_need(o, "warmup", "$.optimizer", int, 10_000),
+        beta1=float(betas[0]), beta2=float(betas[1]),
+        eps=float(_need(o, "eps", "$.optimizer", _NUMBER, 1e-6)),
+        weight_decay=float(_need(o, "weight_decay", "$.optimizer", _NUMBER, 0.01)),
+    )
+    c = _need(doc, "cost", "$", dict, {})
+    _known(c, "$.cost", ("count_overhead",))
+    cost = CostFlags(count_overhead=_need(c, "count_overhead", "$.cost", bool, True))
 
     schedule = Schedule(stages=tuple(stages), model0=model0, data0=data0)
     try:
         schedule.validate(final_config=final_model)
     except ValidationError as exc:
         raise ValidationError(f"$.schedule: {exc}") from None
+    eval_batch_size = _need(doc, "eval_batch_size", "$", int, 16)
+    if eval_batch_size < 1:
+        raise ValidationError(f"$.eval_batch_size: must be >= 1, got {eval_batch_size}")
     return RunConfig(schedule=schedule, final_model=final_model,
-                     optimizer=optimizer, cost=cost,
-                     eval_batch_size=int(doc.get("eval_batch_size", 16)))
+                     optimizer=optimizer, cost=cost, eval_batch_size=eval_batch_size)
 
 
 def load_run_config(path_or_name) -> RunConfig:
-    """Load a config from a JSON file path, or from a named preset."""
-    p = Path(path_or_name)
-    if p.exists():
-        with open(p) as fh:
-            return parse_run_config(json.load(fh))
-    if str(path_or_name) in PRESETS:
-        return parse_run_config(preset(str(path_or_name)))
-    raise ValidationError(f"no such config file or preset: {path_or_name}")
-
-
-# ---------------------------------------------------------------------------
-# Presets
-# ---------------------------------------------------------------------------
-
-_PAPER_MODEL = {"L": 12, "D": 768, "H": 3072, "M": 12, "N_max": 512, "V": 30522,
-                "dropout": 0.1, "attn_scale": True}
-_PAPER_DATA = {"seed": 0, "corpus_size": 1024, "seq_len_full": 512,
-               "mask_token_id": 0, "markov_order": 1}
-
-_DESK_MODEL = {"L": 4, "D": 32, "H": 64, "M": 2, "N_max": 128, "V": 64,
-               "dropout": 0.1, "attn_scale": True}
-_DESK_DATA = {"seed": 0, "corpus_size": 256, "seq_len_full": 128,
-              "mask_token_id": 0, "markov_order": 1}
-
-PRESETS: dict[str, dict] = {
-    # Progressive stacking, 300K / 400K / 300K at L/4, L/2, L.
-    "stack_base_paper": {
-        "model": dict(_PAPER_MODEL, init={"L": 3}),
-        "data": _PAPER_DATA,
-        "schedule": [
-            {"steps": 300_000, "ops": "", "train_len": 512, "masks_per_seq": 76,
-             "batch_size": 256},
-            {"steps": 400_000, "ops": "stack:6", "train_len": 512,
-             "masks_per_seq": 76, "batch_size": 256},
-            {"steps": 300_000, "ops": "stack:12", "train_len": 512,
-             "masks_per_seq": 76, "batch_size": 256},
-        ],
-        "optimizer": {"peak_lr": 1e-4, "warmup": 10_000},
-        "cost": {"count_overhead": True},
-    },
-    # Compound: pooling (size 2) + FFN sharing (k=2) + stacking; treatments
-    # kept through the third stage and removed for the final full stage.
-    "compound_base_paper": {
-        "model": dict(_PAPER_MODEL, init={"L": 3, "ffn": "shared:2", "pool_k": 2}),
-        "data": _PAPER_DATA,
-        "schedule": [
-            {"steps": 200_000, "ops": "", "train_len": 512, "masks_per_seq": 76,
-             "batch_size": 256},
-            {"steps": 200_000, "ops": "stack:6", "train_len": 512,
-             "masks_per_seq": 76, "batch_size": 256},
-            {"steps": 300_000, "ops": "stack:12", "train_len": 512,
-             "masks_per_seq": 76, "batch_size": 256},
-            {"steps": 300_000, "ops": "unshare,unpool", "train_len": 512,
-             "masks_per_seq": 76, "batch_size": 256},
-        ],
-        "optimizer": {"peak_lr": 1e-4, "warmup": 10_000},
-        "cost": {"count_overhead": True},
-    },
-    "stack_base_desk": {
-        "model": dict(_DESK_MODEL, init={"L": 1}),
-        "data": _DESK_DATA,
-        "schedule": [
-            {"steps": 300, "ops": "", "train_len": 128, "masks_per_seq": 19,
-             "batch_size": 16},
-            {"steps": 400, "ops": "stack:2", "train_len": 128,
-             "masks_per_seq": 19, "batch_size": 16},
-            {"steps": 300, "ops": "stack:4", "train_len": 128,
-             "masks_per_seq": 19, "batch_size": 16},
-        ],
-        "optimizer": {"peak_lr": 1e-2, "warmup": 50},
-        "cost": {"count_overhead": True},
-    },
-    "compound_base_desk": {
-        "model": dict(_DESK_MODEL, init={"L": 1, "ffn": "shared:2", "pool_k": 2}),
-        "data": _DESK_DATA,
-        "schedule": [
-            {"steps": 400, "ops": "", "train_len": 128, "masks_per_seq": 19,
-             "batch_size": 16},
-            {"steps": 400, "ops": "stack:2", "train_len": 128,
-             "masks_per_seq": 19, "batch_size": 16},
-            {"steps": 600, "ops": "stack:4", "train_len": 128,
-             "masks_per_seq": 19, "batch_size": 16},
-            {"steps": 600, "ops": "unshare,unpool", "train_len": 128,
-             "masks_per_seq": 19, "batch_size": 16},
-        ],
-        "optimizer": {"peak_lr": 1e-2, "warmup": 50},
-        "cost": {"count_overhead": True},
-    },
-}
-
-
-def preset(name: str) -> dict:
-    if name not in PRESETS:
-        raise ValidationError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    return copy.deepcopy(PRESETS[name])
+    """Load a config from a JSON file path, or a shipped preset by name."""
+    source = Path(path_or_name)
+    if not source.is_file():
+        shipped = resources.files(__package__) / "presets"
+        source = next((f for f in shipped.iterdir() if f.name == f"{path_or_name}.json"),
+                      None)
+        if source is None:
+            raise ValidationError(f"no such config file or preset: {path_or_name}")
+    try:
+        doc = json.loads(source.read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{path_or_name}: cannot read config: {exc}") from None
+    return parse_run_config(doc)

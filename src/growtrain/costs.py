@@ -96,7 +96,6 @@ class CostReport:
     total: int = 0
     baseline_total: int = 0
     speedup_vs_baseline: float = 0.0
-    unit: str = "mult-adds"
 
 
 def _stage_costs(plans, count_overhead: bool) -> list[StageCost]:
@@ -118,7 +117,7 @@ def _stage_costs(plans, count_overhead: bool) -> list[StageCost]:
 
 
 def schedule_cost(plans: list[StagePlan], baseline_plans: list[StagePlan],
-                  count_overhead: bool = True, flops_x2: bool = False) -> CostReport:
+                  count_overhead: bool = True) -> CostReport:
     """Totals and speedup of a staged schedule against a baseline schedule.
 
     speedup = baseline_total / schedule_total - 1 (e.g. +1.071 for +107.1%).
@@ -126,19 +125,11 @@ def schedule_cost(plans: list[StagePlan], baseline_plans: list[StagePlan],
     if plans[-1].config != baseline_plans[-1].config:
         raise ValidationError(
             "schedule and baseline must end at the same final model config")
-    scale = 2 if flops_x2 else 1
     stages = _stage_costs(plans, count_overhead)
-    baseline = _stage_costs(baseline_plans, count_overhead)
-    total = scale * sum(s.stage_total for s in stages)
-    baseline_total = scale * sum(s.stage_total for s in baseline)
-    for s in stages:
-        s.layer_mult_adds *= scale
-        s.overhead_mult_adds *= scale
-        s.per_step_total *= scale
-        s.stage_total *= scale
+    total = sum(s.stage_total for s in stages)
+    baseline_total = sum(s.stage_total for s in _stage_costs(baseline_plans, count_overhead))
     return CostReport(stages=stages, total=total, baseline_total=baseline_total,
-                      speedup_vs_baseline=baseline_total / total - 1.0,
-                      unit="flops" if flops_x2 else "mult-adds")
+                      speedup_vs_baseline=baseline_total / total - 1.0)
 
 
 def format_report(report: CostReport, baseline: bool = True) -> str:
@@ -147,7 +138,7 @@ def format_report(report: CostReport, baseline: bool = True) -> str:
     for i, s in enumerate(report.stages):
         lines.append(f"{i:>5} {s.steps:>9} {s.layer_mult_adds:>16} "
                      f"{s.overhead_mult_adds:>14} {s.stage_total:>18} {s.params:>12}")
-    lines.append(f"total ({report.unit}): {report.total}")
+    lines.append(f"total (mult-adds): {report.total}")
     if baseline:
         lines.append(f"baseline total:      {report.baseline_total}")
         lines.append(f"speedup vs baseline: {report.speedup_vs_baseline * 100:+.1f}%")
@@ -155,7 +146,7 @@ def format_report(report: CostReport, baseline: bool = True) -> str:
 
 
 def report_to_dict(report: CostReport, baseline: bool = True) -> dict:
-    doc = {"unit": report.unit, "stages": [vars(s) for s in report.stages],
+    doc = {"unit": "mult-adds", "stages": [vars(s) for s in report.stages],
            "total": report.total}
     if baseline:
         doc.update(baseline_total=report.baseline_total,

@@ -9,18 +9,12 @@ never emitted by the generator.
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, IntegrityError, ValidationError
+from .errors import InputError, ValidationError
 from .rng import Rng
-
-_CORPUS_MAGIC = b"GTCORP1\n"
-
-MASK_RATE = 0.148  # masks_per_seq ~= round(0.148 * train_len), mirroring 76/512
 
 
 @dataclass(frozen=True)
@@ -35,6 +29,8 @@ class DataConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.corpus_size < 1:
+            raise ValidationError(f"corpus_size must be >= 1, got {self.corpus_size}")
         if self.train_len > self.seq_len_full:
             raise ValidationError(
                 f"train_len {self.train_len} exceeds seq_len_full {self.seq_len_full}")
@@ -59,11 +55,6 @@ class DataConfig:
         dc = DataConfig(**d)
         dc.validate()
         return dc
-
-
-def masks_for_length(train_len: int) -> int:
-    """Default masks-per-sequence holding the masking rate near 15%."""
-    return max(1, round(MASK_RATE * train_len))
 
 
 def valid_tokens(dc: DataConfig) -> np.ndarray:
@@ -159,17 +150,12 @@ def mask_tokens(sequence: np.ndarray, masks_per_seq: int, rng: Rng,
     return inputs, positions.astype(np.int64), targets
 
 
-def make_batch(corpus: np.ndarray, batch_size: int, dc: DataConfig, rng: Rng):
-    """First batch of a fresh epoch: permute the corpus, truncate, mask."""
-    if batch_size < 1:
-        raise InputError(f"batch_size must be >= 1, got {batch_size}")
-    order = rng.fork("epoch0").permutation(corpus.shape[0])[:batch_size]
-    return _assemble(corpus, order, dc, rng.fork("epoch0.mask"))
-
-
-def _assemble(corpus: np.ndarray, indices, dc: DataConfig, rng: Rng):
+def assemble(corpus: np.ndarray, indices, dc: DataConfig, rng: Rng):
+    """(ids, masked positions, targets) of the given corpus rows, truncated
+    to ``train_len`` and masked with ``rng.fork(f"seq{index}")``, so a row's
+    masks depend only on its index."""
     ids, positions, targets = [], [], []
-    for j, idx in enumerate(indices):
+    for idx in indices:
         seq = truncate(corpus[idx], dc.train_len)
         inp, pos, tgt = mask_tokens(seq, dc.masks_per_seq, rng.fork(f"seq{idx}"),
                                     dc.mask_token_id, dc.V)
@@ -189,39 +175,5 @@ def iter_batches(corpus: np.ndarray, batch_size: int, dc: DataConfig, rng: Rng):
         order = er.permutation(size)
         mask_rng = rng.fork(f"epoch{epoch}.mask")
         for start in range(0, size, batch_size):
-            yield _assemble(corpus, order[start:start + batch_size], dc, mask_rng)
+            yield assemble(corpus, order[start:start + batch_size], dc, mask_rng)
         epoch += 1
-
-
-# ---------------------------------------------------------------------------
-# Flat binary persistence
-# ---------------------------------------------------------------------------
-
-def save_corpus(path, corpus: np.ndarray, dc: DataConfig) -> None:
-    """Header (version, V, corpus_size, seq_len_full, seed) + int32 LE tokens."""
-    header = struct.pack("<8sQQQQq", _CORPUS_MAGIC, 1, dc.V, dc.corpus_size,
-                         dc.seq_len_full, dc.seed)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(corpus.astype("<i4").tobytes())
-
-
-def load_corpus(path, dc: DataConfig) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<8sQQQQq"))
-        magic, version, v, size, seq_len, seed = struct.unpack("<8sQQQQq", header)
-        if magic != _CORPUS_MAGIC or version != 1:
-            raise IntegrityError(f"{path}: not a corpus file")
-        if (v, size, seq_len, seed) != (dc.V, dc.corpus_size, dc.seq_len_full, dc.seed):
-            raise IntegrityError(f"{path}: header does not match data config")
-        blob = fh.read()
-    expected = size * seq_len * 4
-    if len(blob) != expected:
-        raise IntegrityError(f"{path}: expected {expected} token bytes, got {len(blob)}")
-    return np.frombuffer(blob, dtype="<i4").astype(np.int64).reshape(size, seq_len)
-
-
-def desk_scale_data(seed: int = 0, corpus_size: int = 256) -> DataConfig:
-    """Desk-scale preset: full length 128 with 19 masks (~15%), V=64."""
-    return DataConfig(V=64, corpus_size=corpus_size, seq_len_full=128,
-                      train_len=128, masks_per_seq=19, seed=seed)

@@ -270,12 +270,6 @@ def ffn_backward(g: np.ndarray, cache: dict):
     return dx, grads
 
 
-def ffn_forward(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
-                rng: Rng, training: bool = False, activation=None) -> np.ndarray:
-    y, _ = ffn_apply(x, params, layer, config, rng, training, activation)
-    return y
-
-
 # ---------------------------------------------------------------------------
 # Attention block
 # ---------------------------------------------------------------------------
@@ -357,12 +351,6 @@ def attention_backward(g: np.ndarray, cache: dict):
     g_xkv += d_xkv
     grads = {prefix + name: t for name, t in gw.items()}
     return g_xq, g_xkv, grads
-
-
-def attention_forward(x_q: np.ndarray, x_kv: np.ndarray, params: dict, layer: int,
-                      config: ModelConfig, rng: Rng, training: bool = False) -> np.ndarray:
-    y, _ = attention_apply(x_q, x_kv, params, layer, config, rng, training)
-    return y
 
 
 # ---------------------------------------------------------------------------

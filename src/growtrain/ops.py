@@ -121,12 +121,6 @@ def apply_dropout(x: np.ndarray, keep: np.ndarray, p: float, out=None) -> np.nda
     return out
 
 
-def dropout(x: np.ndarray, p: float, rng: Rng, training: bool) -> np.ndarray:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
-    keep = dropout_mask(x.shape, p, rng, training)
-    return x if keep is None else apply_dropout(x, keep, p)
-
-
 def cross_entropy_logits(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
     """Mean negative log softmax at the target indices.
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import growth
 from .costs import StagePlan
-from .data import DataConfig, gen_corpus, iter_batches
+from .data import DataConfig, assemble, gen_corpus, iter_batches
 from .errors import InputError, StateError, ValidationError
 from .model import ModelConfig, init_params, mlm_loss, mlm_loss_value
 from .rng import Rng
@@ -61,6 +61,8 @@ class Schedule:
         for t, (stage, config, dc) in enumerate(self.resolved()):
             if stage.steps < 1:
                 raise ValidationError(f"stage {t}: steps must be >= 1")
+            if stage.batch_size < 1:
+                raise ValidationError(f"stage {t}: batch_size must be >= 1")
             try:
                 dc.validate()
             except ValidationError as exc:
@@ -111,13 +113,6 @@ class OptimizerState:
     def fresh(params: dict) -> "OptimizerState":
         return OptimizerState(m={k: np.zeros_like(t) for k, t in params.items()},
                               v={k: np.zeros_like(t) for k, t in params.items()})
-
-    def shape_audit(self, params: dict) -> None:
-        for k, t in params.items():
-            if k not in self.m or self.m[k].shape != t.shape or self.v[k].shape != t.shape:
-                raise StateError(f"optimizer moments out of shape for {k!r}")
-        if set(self.m) != set(params):
-            raise StateError("optimizer moments track stale parameters")
 
 
 def _decayed(name: str) -> bool:
@@ -230,7 +225,6 @@ def run_schedule(schedule: Schedule, seed: int, out_dir=None,
             write_ckpt(f"stage{t}_pregrowth", t, stage.ops_at_start)
             params, config, dc = growth.apply(stage.ops_at_start, params, config, dc)
             opt_state = OptimizerState.fresh(params)
-            opt_state.shape_audit(params)
             result.params, result.config, result.data_config = params, config, dc
             write_ckpt(f"stage{t}_postgrowth", t, stage.ops_at_start)
         dc = stage_data(stage, dc)
@@ -295,14 +289,12 @@ def loss_continuity_check(ckpt_pre, ckpt_post, probe_batch,
 def evaluate(params: dict, config: ModelConfig, dc: DataConfig,
              corpus: np.ndarray, mask_rng: Rng, batch_size: int = 16) -> float:
     """Mean MLM loss over a corpus with dropout off."""
-    from .data import _assemble
-
     total, count = 0.0, 0
     for start in range(0, corpus.shape[0], batch_size):
         idx = range(start, min(start + batch_size, corpus.shape[0]))
         # masks are forked per sequence index, so the result does not
         # depend on batch_size
-        batch = _assemble(corpus, idx, dc, mask_rng)
+        batch = assemble(corpus, idx, dc, mask_rng)
         loss = mlm_loss_value(batch, params, config)
         total += loss * len(idx)
         count += len(idx)

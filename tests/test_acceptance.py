@@ -19,7 +19,7 @@ from growtrain.data import DataConfig, gen_corpus
 from growtrain.errors import IntegrityError
 from growtrain.growth import (DefactorizeFFN, StackDepth, UnshareFFN,
                               verify_function_preserving)
-from growtrain.model import (ModelConfig, attention_forward, init_params,
+from growtrain.model import (ModelConfig, attention_apply, init_params,
                              mlm_loss, mlm_loss_value, param_count)
 from growtrain.rng import Rng
 from growtrain.train import (OptimizerConfig, Schedule, Stage, evaluate,
@@ -140,7 +140,7 @@ def test_ac6_attention_formula_equivalence():
                           attn_scale=False)
         params = init_params(cfg, Rng(7200 + M).fork("init"))
         x = Rng(7300 + M).uniform(-1, 1, (5, 8))
-        out = attention_forward(x, x, params, 0, cfg, Rng(0))
+        out = attention_apply(x, x, params, 0, cfg, Rng(0), False)[0]
         ref = brute_force_attention(x, x, params, 0, M, 8, scale=1.0)
         worst = max(worst, float(np.max(np.abs(out - ref))))
     ok = worst <= 1e-12

@@ -1,31 +1,38 @@
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from growtrain import config
 from growtrain.checkpoint import load_checkpoint
 from growtrain.cli import cli
 from growtrain.config import parse_run_config
 from growtrain.train import run_schedule
 
+PRESETS = ("stack_base_paper", "compound_base_paper", "stack_base_desk",
+           "compound_base_desk")
+
+SMALL_DOC = {
+    "model": {"L": 2, "D": 8, "H": 16, "M": 2, "N_max": 16, "V": 8,
+              "dropout": 0.1,
+              "init": {"L": 1, "ffn": "shared:2", "pool_k": 2}},
+    "data": {"seed": 0, "corpus_size": 8, "seq_len_full": 16},
+    "schedule": [
+        {"steps": 4, "ops": "", "train_len": 16, "masks_per_seq": 3,
+         "batch_size": 4},
+        {"steps": 4, "ops": "stack:2,unshare,unpool", "train_len": 16,
+         "masks_per_seq": 3, "batch_size": 4},
+    ],
+    "optimizer": {"peak_lr": 1e-3, "warmup": 0},
+}
+
 
 @pytest.fixture
 def small_config(tmp_path):
-    doc = {
-        "model": {"L": 2, "D": 8, "H": 16, "M": 2, "N_max": 16, "V": 8,
-                  "dropout": 0.1,
-                  "init": {"L": 1, "ffn": "shared:2", "pool_k": 2}},
-        "data": {"seed": 0, "corpus_size": 8, "seq_len_full": 16},
-        "schedule": [
-            {"steps": 4, "ops": "", "train_len": 16, "masks_per_seq": 3,
-             "batch_size": 4},
-            {"steps": 4, "ops": "stack:2,unshare,unpool", "train_len": 16,
-             "masks_per_seq": 3, "batch_size": 4},
-        ],
-        "optimizer": {"peak_lr": 1e-3, "warmup": 0},
-    }
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(SMALL_DOC))
     return path
 
 
@@ -46,17 +53,24 @@ class TestPlan:
         assert abs(doc["speedup_vs_baseline"] - 0.655116) < 1e-4
         assert len(doc["stages"]) == 3
 
-    def test_preset_file_equals_named_preset(self, capsys):
-        assert cli(["plan", "-c", "configs/compound_base_paper.json",
-                    "--json"]) == 0
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_preset_file_equals_named_preset(self, capsys, name):
+        shipped = Path(config.__file__).parent / "presets"
+        assert sorted(p.stem for p in shipped.glob("*.json")) == sorted(PRESETS)
+        path = shipped / f"{name}.json"
+        assert cli(["plan", "-c", str(path), "--json"]) == 0
         from_file = json.loads(capsys.readouterr().out)
-        assert cli(["plan", "-c", "compound_base_paper", "--json"]) == 0
+        assert cli(["plan", "-c", name, "--json"]) == 0
         from_name = json.loads(capsys.readouterr().out)
         assert from_file == from_name
 
     def test_missing_config_exits_1(self, capsys):
-        assert cli(["plan", "-c", "no_such_preset"]) == 1
-        assert "error" in capsys.readouterr().err
+        # a preset name is matched against the shipped file names, never
+        # joined into a path, so no relative spelling reaches a preset
+        for name in ("no_such_preset", "presets/compound_base_paper",
+                     "../presets/compound_base_paper"):
+            assert cli(["plan", "-c", name]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestFlops:
@@ -119,6 +133,9 @@ class TestTrainGrowVerifyEval:
         text = capsys.readouterr().out
         assert "PASS" in text
         assert "preservation-class" in text
+        # a probe batch larger than corpus_size (8) reuses corpus rows
+        assert cli(["verify", "--ckpt", str(pre), "--op", "unshare", "--batch", "20"]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_verify_report_only_op(self, small_config, tmp_path, capsys):
         out = tmp_path / "run"
@@ -144,6 +161,11 @@ class TestTrainGrowVerifyEval:
                         "-o", str(tmp_path / "grown")]) == 1
             assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "grown").exists()
+        for batch in ("0", "-1"):
+            assert cli(["verify", "--ckpt", str(out / "final"), "--op", "stack:4",
+                        "--batch", batch]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and "op stack" not in captured.out
 
     def test_eval_prints_loss(self, small_config, tmp_path, capsys):
         out = tmp_path / "run"
@@ -263,3 +285,74 @@ class TestMalformedManifest:
         capsys.readouterr()
         assert cli(["verify", "--ckpt", str(out / "final"), "--op", "stack:4"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _set(path, value):
+    """An edit that sets the key at ``path`` (a tuple of keys and indices)."""
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+class TestStrictConfig:
+    """A config with an unknown key, a value of the wrong JSON type or a
+    degenerate size ends ``plan`` and ``train`` with exit code 1 and an
+    ``error:`` line that names the JSON path, before any work."""
+
+    EDITS = {
+        "misspelt_stage_key": (_set(("schedule", 1, "train-len"), 8), "$.schedule[1].train-len"),
+        "deleted_optimizer_key": (_set(("optimizer", "carry_moments"), True),
+                                  "$.optimizer.carry_moments"),
+        "unknown_root_key": (_set(("steps",), 8), "$.steps"),
+        "unknown_model_key": (_set(("model", "layers"), 2), "$.model.layers"),
+        "unknown_init_key": (_set(("model", "init", "k"), 2), "$.model.init.k"),
+        "unknown_data_key": (_set(("data", "vocab"), 8), "$.data.vocab"),
+        "unknown_cost_key": (_set(("cost",), {"flops_x2": True}), "$.cost.flops_x2"),
+        "float_train_len": (_set(("schedule", 0, "train_len"), 12.9), "$.schedule[0].train_len"),
+        "bool_batch_size": (_set(("schedule", 0, "batch_size"), True),
+                            "$.schedule[0].batch_size"),
+        "string_dropout": (_set(("model", "dropout"), "0.1"), "$.model.dropout"),
+        "string_lr": (_set(("optimizer", "peak_lr"), "1e-3"), "$.optimizer.peak_lr"),
+        "int_attn_scale": (_set(("model", "attn_scale"), 1), "$.model.attn_scale"),
+        "optimizer_not_object": (_set(("optimizer",), "x"), "$.optimizer"),
+        "one_beta": (_set(("optimizer", "betas"), [0.9]), "$.optimizer.betas"),
+        "string_beta": (_set(("optimizer", "betas"), [0.9, "0.999"]), "$.optimizer.betas"),
+        "zero_batch_size": (_set(("schedule", 1, "batch_size"), 0), "batch_size"),
+        "negative_batch_size": (_set(("schedule", 0, "batch_size"), -2), "batch_size"),
+        "zero_corpus_size": (_set(("data", "corpus_size"), 0), "corpus_size"),
+        "zero_eval_batch_size": (_set(("eval_batch_size",), 0), "$.eval_batch_size"),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_plan_and_train_exit_1(self, tmp_path, capsys, edit):
+        change, path = self.EDITS[edit]
+        doc = copy.deepcopy(SMALL_DOC)
+        change(doc)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli(["plan", "-c", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
+        assert cli(["train", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_json_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"model": {"L": 2,')
+        assert cli(["plan", "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_int_accepted_as_float(self):
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["optimizer"].update(peak_lr=1, betas=[0, 1], eps=0, weight_decay=0)
+        doc["model"]["dropout"] = 0
+        rc = parse_run_config(doc)
+        opt = rc.optimizer
+        floats = (opt.peak_lr, opt.beta1, opt.beta2, opt.eps, opt.weight_decay,
+                  rc.final_model.dropout_p)
+        assert floats == (1, 0, 1, 0, 0, 0)
+        assert all(type(v) is float for v in floats)

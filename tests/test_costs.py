@@ -145,13 +145,6 @@ class TestScheduleCost:
         report = schedule_cost(stack_plans(), baseline_plans())
         assert report.total == sum(s.stage_total for s in report.stages)
 
-    def test_flops_toggle_doubles_totals(self):
-        a = schedule_cost(stack_plans(), baseline_plans())
-        b = schedule_cost(stack_plans(), baseline_plans(), flops_x2=True)
-        assert b.total == 2 * a.total
-        assert b.unit == "flops"
-        assert b.speedup_vs_baseline == pytest.approx(a.speedup_vs_baseline)
-
     def test_mismatched_final_configs_rejected(self):
         with pytest.raises(ValidationError):
             schedule_cost(stack_plans(), [StagePlan(1_000_000, bert(L=6), 512, 76)])

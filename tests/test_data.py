@@ -4,12 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from growtrain.data import (DataConfig, desk_scale_data, gen_corpus,
-                            iter_batches, load_corpus, make_batch,
-                            mask_tokens, masks_for_length, save_corpus,
+from growtrain.data import (DataConfig, gen_corpus, iter_batches, mask_tokens,
                             transition_matrix, truncate)
-from growtrain.errors import InputError, IntegrityError, ValidationError
+from growtrain.errors import InputError, ValidationError
+from growtrain.model import ModelConfig
 from growtrain.rng import Rng
+from growtrain.train import Schedule, Stage
 
 
 def small_dc(**kw):
@@ -42,15 +42,12 @@ class TestDataConfig:
             small_dc(masks_per_seq=32).validate()
         with pytest.raises(ValidationError):
             small_dc(mask_token_id=16).validate()
+        with pytest.raises(ValidationError):
+            small_dc(corpus_size=0).validate()
 
     def test_round_trip_dict(self):
         dc = small_dc()
         assert DataConfig.from_dict(dc.to_dict()) == dc
-
-    def test_mask_rate_presets(self):
-        assert masks_for_length(128) == 19
-        assert masks_for_length(32) == 5
-        assert masks_for_length(512) == 76
 
 
 class TestGenCorpus:
@@ -200,8 +197,8 @@ class TestBatches:
     def test_same_seed_identical_batches(self):
         dc = small_dc()
         corpus = gen_corpus(dc, Rng(18))
-        a = make_batch(corpus, 4, dc, Rng(19))
-        b = make_batch(corpus, 4, dc, Rng(19))
+        a = next(iter_batches(corpus, 4, dc, Rng(19)))
+        b = next(iter_batches(corpus, 4, dc, Rng(19)))
         for x, y in zip(a, b):
             npt.assert_array_equal(x, y)
 
@@ -222,14 +219,14 @@ class TestBatches:
     def test_mask_count_constant(self):
         dc = small_dc()
         corpus = gen_corpus(dc, Rng(22))
-        ids, pos, tgt = make_batch(corpus, 5, dc, Rng(23))
+        ids, pos, tgt = next(iter_batches(corpus, 5, dc, Rng(23)))
         assert pos.shape == (5, dc.masks_per_seq)
         assert tgt.shape == (5, dc.masks_per_seq)
 
     def test_truncation_applied(self):
         dc = small_dc(train_len=8, masks_per_seq=2)
         corpus = gen_corpus(dc, Rng(24))
-        ids, _, _ = make_batch(corpus, 4, dc, Rng(25))
+        ids, _, _ = next(iter_batches(corpus, 4, dc, Rng(25)))
         assert ids.shape == (4, 8)
 
     def test_batch_targets_equal_corpus_tokens(self):
@@ -247,46 +244,9 @@ class TestBatches:
             npt.assert_array_equal(tgt[j], src[pos[j]])
 
     def test_bad_batch_size_rejected(self):
-        dc = small_dc()
-        corpus = gen_corpus(dc, Rng(28))
-        with pytest.raises(InputError):
-            make_batch(corpus, 0, dc, Rng(29))
-
-
-class TestCorpusFile:
-    def test_round_trip(self, tmp_path):
-        dc = small_dc()
-        corpus = gen_corpus(dc, Rng(30))
-        path = tmp_path / "corpus.bin"
-        save_corpus(path, corpus, dc)
-        npt.assert_array_equal(load_corpus(path, dc), corpus)
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        dc = small_dc()
-        corpus = gen_corpus(dc, Rng(31))
-        path = tmp_path / "corpus.bin"
-        save_corpus(path, corpus, dc)
-        with pytest.raises(IntegrityError):
-            load_corpus(path, small_dc(V=17))
-
-    def test_truncated_file_rejected(self, tmp_path):
-        dc = small_dc()
-        corpus = gen_corpus(dc, Rng(32))
-        path = tmp_path / "corpus.bin"
-        save_corpus(path, corpus, dc)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
-        with pytest.raises(IntegrityError):
-            load_corpus(path, dc)
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "corpus.bin"
-        path.write_bytes(b"NOTACORP" + b"\0" * 64)
-        with pytest.raises(IntegrityError):
-            load_corpus(path, small_dc())
-
-
-def test_desk_scale_preset():
-    dc = desk_scale_data()
-    assert (dc.V, dc.seq_len_full, dc.masks_per_seq) == (64, 128, 19)
-    dc.validate()
+        """A schedule is rejected before any batch is drawn."""
+        model = ModelConfig(L=1, D=4, H=8, M=2, N_max=32, V=16)
+        for batch_size in (0, -1):
+            stages = (Stage(steps=2), Stage(steps=2, batch_size=batch_size))
+            with pytest.raises(ValidationError, match="stage 1: batch_size"):
+                Schedule(stages=stages, model0=model, data0=small_dc()).validate()

@@ -7,11 +7,10 @@ import pytest
 from growtrain import ops
 from growtrain.errors import InputError, ValidationError
 from growtrain.model import (ModelConfig, attention_apply, attention_backward,
-                             attention_forward, build_pooling, encoder_apply,
-                             encoder_backward, encoder_forward, ffn_apply,
-                             ffn_backward, ffn_forward, init_params, mlm_loss,
-                             mlm_loss_value, param_count, shape_audit,
-                             zero_grads)
+                             build_pooling, encoder_apply, encoder_backward,
+                             encoder_forward, ffn_apply, ffn_backward,
+                             init_params, mlm_loss, mlm_loss_value, param_count,
+                             shape_audit, zero_grads)
 from growtrain.rng import Rng
 
 from conftest import random_batch
@@ -81,8 +80,8 @@ class TestFFN:
         params = init_params(cfg, Rng(0).fork("init"))
         params["layer0.ffn.w1"] = np.array([[2.0, 3.0]])
         params["layer0.ffn.w2"] = np.array([[1.0], [1.0]])
-        out = ffn_forward(np.array([[1.0]]), params, 0, cfg, Rng(0),
-                          activation=IDENTITY_ACT)
+        out = ffn_apply(np.array([[1.0]]), params, 0, cfg, Rng(0), False,
+                        activation=IDENTITY_ACT)[0]
         npt.assert_array_equal(out, [[5.0]])
 
     def test_shared_equals_tiled_full(self):
@@ -92,14 +91,15 @@ class TestFFN:
         ps["layer0.ffn.w1s"] = np.array([[1.0, 2.0]])
         ps["layer0.ffn.w2s"] = np.array([[3.0], [4.0]])
         x = np.array([[1.0]])
-        out_shared = ffn_forward(x, ps, 0, shared, Rng(0), activation=IDENTITY_ACT)
+        out_shared = ffn_apply(x, ps, 0, shared, Rng(0), False,
+                               activation=IDENTITY_ACT)[0]
         npt.assert_array_equal(out_shared, [[11.0]])
 
         full = shared.with_(ffn_mode="full", ffn_k=1)
         pf = init_params(full, Rng(0).fork("init"))
         pf["layer0.ffn.w1"] = np.array([[1.0, 2.0, 1.0, 2.0]])
         pf["layer0.ffn.w2"] = np.array([[1.5], [2.0], [1.5], [2.0]])
-        out_full = ffn_forward(x, pf, 0, full, Rng(0), activation=IDENTITY_ACT)
+        out_full = ffn_apply(x, pf, 0, full, Rng(0), False, activation=IDENTITY_ACT)[0]
         npt.assert_array_equal(out_full, [[11.0]])
 
     @pytest.mark.parametrize("mode,kw", [
@@ -119,14 +119,14 @@ class TestFFN:
         dx, wgrads = ffn_backward(g, cache)
 
         def loss_x(z):
-            return float((ffn_forward(z, params, 0, cfg, Rng(0)) * g).sum())
+            return float((ffn_apply(z, params, 0, cfg, Rng(0), False)[0] * g).sum())
 
         assert ops.finite_diff_check(loss_x, x, dx) <= 1e-5
         for name, grad in wgrads.items():
             def loss_w(w, name=name):
                 p = dict(params)
                 p[name] = w
-                return float((ffn_forward(x, p, 0, cfg, Rng(0)) * g).sum())
+                return float((ffn_apply(x, p, 0, cfg, Rng(0), False)[0] * g).sum())
             assert ops.finite_diff_check(loss_w, params[name], grad) <= 1e-5
 
 
@@ -137,7 +137,7 @@ class TestAttention:
         params["layer0.w_q"] = np.zeros((4, 4))
         params["layer0.w_k_t"] = np.zeros((4, 4))
         x = Rng(4).uniform(-1, 1, (3, 4))
-        out = attention_forward(x, x, params, 0, cfg, Rng(0))
+        out = attention_apply(x, x, params, 0, cfg, Rng(0), False)[0]
         values = x @ params["layer0.w_v1"] @ params["layer0.w_v2_t"].T
         npt.assert_allclose(out, np.tile(values.mean(axis=0), (3, 1)), atol=1e-12)
 
@@ -147,7 +147,7 @@ class TestAttention:
                           attn_scale=False)
         params = init_params(cfg, Rng(5).fork("init"))
         x = Rng(6).uniform(-1, 1, (3, 4))
-        out = attention_forward(x, x, params, 0, cfg, Rng(0))
+        out = attention_apply(x, x, params, 0, cfg, Rng(0), False)[0]
         ref = brute_force_attention(x, x, params, 0, M, 4, scale=1.0)
         npt.assert_allclose(out, ref, atol=1e-12)
 
@@ -158,7 +158,7 @@ class TestAttention:
         rng = Rng(8)
         x_q = rng.uniform(-1, 1, (2, 4))
         x_kv = rng.uniform(-1, 1, (5, 4))
-        out = attention_forward(x_q, x_kv, params, 0, cfg, Rng(0))
+        out = attention_apply(x_q, x_kv, params, 0, cfg, Rng(0), False)[0]
         ref = brute_force_attention(x_q, x_kv, params, 0, 2, 4, scale=1.0)
         npt.assert_allclose(out, ref, atol=1e-12)
 
@@ -196,7 +196,7 @@ class TestAttention:
         g_xq, g_xkv, wgrads = attention_backward(g, cache)
 
         def loss_x(z):
-            return float((attention_forward(z, z, params, 0, cfg, Rng(0)) * g).sum())
+            return float((attention_apply(z, z, params, 0, cfg, Rng(0), False)[0] * g).sum())
 
         assert ops.finite_diff_check(loss_x, x, g_xq + g_xkv) <= 1e-5
         for name, grad in wgrads.items():
@@ -204,7 +204,7 @@ class TestAttention:
                 p = dict(params)
                 p[name] = w
                 return float(
-                    (attention_forward(x, x, p, 0, cfg, Rng(0)) * g).sum())
+                    (attention_apply(x, x, p, 0, cfg, Rng(0), False)[0] * g).sum())
             assert ops.finite_diff_check(loss_w, params[name], grad) <= 1e-5
 
 

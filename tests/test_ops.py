@@ -144,30 +144,31 @@ def test_layer_norm_bit_identical_to_mean_var(D):
 
 
 class TestDropout:
+    """Inverted dropout as the model applies it: ``apply_dropout(x,
+    dropout_mask(...), p)``, and ``x`` itself when there is no mask."""
+
     def test_p_zero_identity(self):
-        x = Rng(6).uniform(-2, 2, (4, 4))
-        npt.assert_array_equal(ops.dropout(x, 0.0, Rng(0), True), x)
+        assert ops.dropout_mask((4, 4), 0.0, Rng(0), True) is None
 
     def test_inference_identity(self):
-        x = Rng(7).uniform(-2, 2, (4, 4))
-        npt.assert_array_equal(ops.dropout(x, 0.9, Rng(0), False), x)
+        assert ops.dropout_mask((4, 4), 0.9, Rng(0), False) is None
 
     def test_p_at_least_one_rejected(self):
         with pytest.raises(ParamError):
-            ops.dropout(np.ones(3), 1.0, Rng(0), True)
+            ops.dropout_mask((3,), 1.0, Rng(0), True)
 
     def test_mean_preserved_within_3_sigma(self):
         n = 100_000
         p = 0.5
-        out = ops.dropout(np.ones(n), p, Rng(8), True)
+        out = ops.apply_dropout(np.ones(n), ops.dropout_mask((n,), p, Rng(8), True), p)
         # survivor count is Binomial(n, 1-p); output mean = count/(n(1-p))
         sigma = math.sqrt(p * (1 - p) / n) / (1 - p)
         assert abs(out.mean() - 1.0) < 3 * sigma
 
     def test_determinism_per_seed(self):
         x = np.ones((8, 8))
-        a = ops.dropout(x, 0.3, Rng(9).fork("d"), True)
-        b = ops.dropout(x, 0.3, Rng(9).fork("d"), True)
+        a = ops.apply_dropout(x, ops.dropout_mask(x.shape, 0.3, Rng(9).fork("d"), True), 0.3)
+        b = ops.apply_dropout(x, ops.dropout_mask(x.shape, 0.3, Rng(9).fork("d"), True), 0.3)
         npt.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("p", [0.05, 0.1, 0.3, 1 / 3, 0.5, 0.9, 1 - 2.0**-53])
@@ -200,7 +201,7 @@ class TestDropout:
         """``x * keep * 1/(1-p)`` equals the product with the float mask
         ``keep / (1-p)`` bit for bit, signed zeros included."""
         x = Rng(22).normal(0.0, 3.0, (6, 50))
-        out = ops.dropout(x, p, Rng(23).fork("d"), True)
+        out = ops.apply_dropout(x, ops.dropout_mask(x.shape, p, Rng(23).fork("d"), True), p)
         keep = Rng(23).fork("d").uniform(size=x.shape) >= p
         ref = x * (keep / (1.0 - p))
         assert out.tobytes() == ref.tobytes()
