@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -95,8 +96,9 @@ def _cli_ops(spec: str) -> list:
 def _cmd_grow(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     ops_list = _cli_ops(args.op)
-    params, config, dc = growth.apply(ops_list, ckpt.params, ckpt.model_config,
-                                      ckpt.data_config)
+    # the grown tensors are only written out, so unchanged ones are not copied
+    params, config, dc = growth.fold(ops_list, ckpt.params, ckpt.model_config,
+                                     ckpt.data_config)
     save_checkpoint(args.out, params, config, dc, ckpt.stage_index,
                     ckpt.global_step, ckpt.rng_state,
                     extra={"boundary_ops": [o.spec for o in ops_list]})
@@ -110,11 +112,13 @@ def _cmd_verify(args) -> int:
         raise ParamError(f"--batch must be >= 1, got {args.batch}")
     ckpt = load_checkpoint(args.ckpt)
     ops_list = _cli_ops(args.op)
-    # a probe batch of the checkpoint's data shape, corpus rows 0, 1, ...
+    # a probe batch of the checkpoint's data shape, corpus rows 0, 1, ...;
+    # only the rows it reads are generated
     dc = ckpt.data_config
     rng = Rng(args.seed).fork("probe")
-    ids, masked, _ = assemble(gen_corpus(dc, rng.fork("corpus")),
-                              np.arange(args.batch) % dc.corpus_size, dc, rng)
+    rows = gen_corpus(replace(dc, corpus_size=min(args.batch, dc.corpus_size)),
+                      rng.fork("corpus"))
+    ids, masked, _ = assemble(rows, np.arange(args.batch) % dc.corpus_size, dc, rng)
     report = growth.verify_function_preserving(
         ckpt.params, ckpt.model_config, ops_list, (ids, masked), tol=args.tol)
     kind = "preservation-class" if report.preservation_class else "report-only"

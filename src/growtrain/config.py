@@ -15,6 +15,7 @@ paper dims (BERT-base) and desk-scale dims, ship as ``presets/*.json``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -63,6 +64,14 @@ def _need(section: dict, key: str, path: str, types, default=_REQUIRED):
     return value
 
 
+def _real(value, path: str) -> float:
+    """A JSON number as a float; an integer too large for one is an error."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{path}: integer too large for a float") from None
+
+
 def _known(section: dict, path: str, keys: tuple) -> None:
     for key in section:
         if key not in keys:
@@ -92,7 +101,7 @@ def parse_run_config(doc: dict) -> RunConfig:
                           "attn_scale", "init"))
     final_model = ModelConfig(
         **{k: _need(m, k, "$.model", int) for k in ("L", "D", "H", "M", "N_max", "V")},
-        dropout_p=float(_need(m, "dropout", "$.model", _NUMBER, 0.1)),
+        dropout_p=_real(_need(m, "dropout", "$.model", _NUMBER, 0.1), "$.model.dropout"),
         attn_scale=_need(m, "attn_scale", "$.model", bool, True))
     try:
         final_model.validate()
@@ -156,12 +165,25 @@ def parse_run_config(doc: dict) -> RunConfig:
     if len(betas) != 2 or not all(_typed(b, _NUMBER) for b in betas):
         raise ValidationError("$.optimizer.betas: expected a list of two numbers")
     optimizer = OptimizerConfig(
-        peak_lr=float(_need(o, "peak_lr", "$.optimizer", _NUMBER, 1e-4)),
+        peak_lr=_real(_need(o, "peak_lr", "$.optimizer", _NUMBER, 1e-4), "$.optimizer.peak_lr"),
         warmup=_need(o, "warmup", "$.optimizer", int, 10_000),
-        beta1=float(betas[0]), beta2=float(betas[1]),
-        eps=float(_need(o, "eps", "$.optimizer", _NUMBER, 1e-6)),
-        weight_decay=float(_need(o, "weight_decay", "$.optimizer", _NUMBER, 0.01)),
+        beta1=_real(betas[0], "$.optimizer.betas[0]"),
+        beta2=_real(betas[1], "$.optimizer.betas[1]"),
+        eps=_real(_need(o, "eps", "$.optimizer", _NUMBER, 1e-6), "$.optimizer.eps"),
+        weight_decay=_real(_need(o, "weight_decay", "$.optimizer", _NUMBER, 0.01),
+                           "$.optimizer.weight_decay"),
     )
+    # NaN fails every comparison, so each rule also rejects it
+    for key, value, ok, rule in (
+            ("peak_lr", optimizer.peak_lr, 0 < optimizer.peak_lr < math.inf, "finite and > 0"),
+            ("warmup", optimizer.warmup, optimizer.warmup >= 0, ">= 0"),
+            ("betas[0]", optimizer.beta1, 0 <= optimizer.beta1 < 1, "in [0, 1)"),
+            ("betas[1]", optimizer.beta2, 0 <= optimizer.beta2 < 1, "in [0, 1)"),
+            ("eps", optimizer.eps, 0 < optimizer.eps < math.inf, "finite and > 0"),
+            ("weight_decay", optimizer.weight_decay, 0 <= optimizer.weight_decay < math.inf,
+             "finite and >= 0")):
+        if not ok:
+            raise ValidationError(f"$.optimizer.{key}: must be {rule}, got {value!r}")
     c = _need(doc, "cost", "$", dict, {})
     _known(c, "$.cost", ("count_overhead",))
     cost = CostFlags(count_overhead=_need(c, "count_overhead", "$.cost", bool, True))

@@ -98,10 +98,10 @@ def gen_corpus(dc: DataConfig, rng: Rng, stream: str = "train") -> np.ndarray:
     way ``Generator.choice(V, p=row)`` does (cumsum normalized by its last
     element, ``searchsorted(side="right")``), so the corpus equals a
     token-by-token ``choice`` loop while every position is sampled across
-    all sequences at once.
+    all sequences at once.  A smaller ``corpus_size`` gives the first rows
+    of a larger one bit for bit.
     """
     dc.validate()
-    T = transition_matrix(dc, rng.fork("transitions"))
     tokens = valid_tokens(dc)
     marginal = np.full(dc.V, 0.0)
     marginal[tokens] = 1.0 / tokens.size
@@ -110,7 +110,7 @@ def gen_corpus(dc: DataConfig, rng: Rng, stream: str = "train") -> np.ndarray:
     marginal_cdf /= marginal_cdf[-1]
     if dc.markov_order == 0:
         return np.searchsorted(marginal_cdf, u, side="right").astype(np.int64)
-    cdf = np.cumsum(T, axis=1)
+    cdf = np.cumsum(transition_matrix(dc, rng.fork("transitions")), axis=1)
     cdf[tokens] /= cdf[tokens, -1:]   # the mask token's row is all zero and never used
     corpus = np.zeros((dc.corpus_size, dc.seq_len_full), dtype=np.int64)
     corpus[:, 0] = np.searchsorted(marginal_cdf, u[:, 0], side="right")

@@ -77,7 +77,9 @@ class UnshareFFN(GrowthOp):
             if name.endswith("ffn.w1s"):
                 new_params[name[:-len("w1s")] + "w1"] = np.concatenate([t] * k, axis=1)
             elif name.endswith("ffn.w2s"):
-                new_params[name[:-len("w2s")] + "w2"] = np.concatenate([t / k] * k, axis=0)
+                w2 = np.concatenate([t] * k, axis=0)
+                w2 /= k   # in place: the same quotients as t / k, no temporary
+                new_params[name[:-len("w2s")] + "w2"] = w2
             else:
                 new_params[name] = t
         return new_params
@@ -147,7 +149,8 @@ def fold(ops_list, params: dict, config: ModelConfig, data_config):
 
     The result references every input tensor an op leaves unchanged, and
     ``stack`` repeats source layers under several names, so it is for
-    reading only (forward passes); ``apply`` returns owned tensors.
+    reading only (forward passes, or ``grow`` writing a checkpoint);
+    ``apply`` returns owned tensors for training.
     """
     grown = params
     for op in _ordered(ops_list):

@@ -7,6 +7,7 @@ linear decay to zero at the stage end) and resets optimizer moments.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -238,6 +239,9 @@ def run_schedule(schedule: Schedule, seed: int, out_dir=None,
             step_rng = root.fork(f"stage{t}.step{i}")
             loss, grads = mlm_loss(batch, params, config, step_rng, training=True,
                                    grads=grads)
+            if not math.isfinite(loss):
+                raise StateError(f"stage {t} step {i}: loss is {loss}; "
+                                 f"{_first_nonfinite(params, grads)}")
             lr = lr_at(i, stage.steps, warmup, opt_cfg.peak_lr)
             optimizer_step(params, grads, opt_state, lr, opt_cfg)
             if i % log_every == 0 or i == stage.steps - 1:
@@ -249,6 +253,16 @@ def run_schedule(schedule: Schedule, seed: int, out_dir=None,
     if out is not None:
         write_loss_csv(out / "loss.csv", result.loss_log)
     return result
+
+
+def _first_nonfinite(params: dict, grads: dict) -> str:
+    """Names the first parameter, then gradient, tensor holding a NaN or an
+    infinity; only called once a loss is not finite."""
+    for kind, tensors in (("parameter", params), ("gradient", grads)):
+        for name, t in tensors.items():
+            if not np.isfinite(t).all():
+                return f"{kind} {name!r} holds a non-finite value"
+    return "every parameter and gradient is finite"
 
 
 def write_loss_csv(path, loss_log) -> None:

@@ -1,14 +1,19 @@
 import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from growtrain import config
-from growtrain.checkpoint import load_checkpoint
+from growtrain import cli as cli_module
+from growtrain import config, growth
+from growtrain.checkpoint import load_checkpoint, save_checkpoint
 from growtrain.cli import cli
 from growtrain.config import parse_run_config
+from growtrain.data import DataConfig
+from growtrain.model import ModelConfig, init_params
+from growtrain.rng import Rng
 from growtrain.train import run_schedule
 
 PRESETS = ("stack_base_paper", "compound_base_paper", "stack_base_desk",
@@ -167,6 +172,18 @@ class TestTrainGrowVerifyEval:
             captured = capsys.readouterr()
             assert captured.err.startswith("error:") and "op stack" not in captured.out
 
+    def test_train_non_finite_loss_exits_1(self, tmp_path, capsys):
+        # the first step's update at this rate makes the next forward overflow
+        doc = copy.deepcopy(SMALL_DOC)
+        doc["optimizer"]["peak_lr"] = 1e300
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            assert cli(["train", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 0 step 1: loss is nan; gradient ")
+        assert "holds a non-finite value" in err
+
     def test_eval_prints_loss(self, small_config, tmp_path, capsys):
         out = tmp_path / "run"
         cli(["train", "-c", str(small_config), "-o", str(out)])
@@ -200,6 +217,57 @@ def test_omitted_data_shape_inherits_previous_stage(tmp_path):
     for label in ("stage1_pregrowth", "stage2_pregrowth", "final"):
         dc = load_checkpoint(out / label).data_config
         assert (dc.train_len, dc.masks_per_seq) == (32, 5), label
+
+
+def _fresh_checkpoint(path, **model_kw) -> Path:
+    """An untrained one-layer checkpoint of the given FFN and pooling."""
+    cfg = ModelConfig(L=1, D=8, H=16, M=2, N_max=16, V=8, dropout_p=0.1, **model_kw)
+    dc = DataConfig(V=8, corpus_size=8, seq_len_full=16, train_len=16, masks_per_seq=3)
+    save_checkpoint(path, init_params(cfg, Rng(5).fork("init")), cfg, dc, 1, 4,
+                    {"seed": 5, "stage": 1, "global_step": 4})
+    return path
+
+
+SOURCE_MODEL = {"stack:2": {}, "stack:4": {},
+                "unshare,unpool": dict(ffn_mode="shared", ffn_k=2, pool_k=2),
+                "defactorize": dict(ffn_mode="factorized", ffn_h=3)}
+
+
+class TestGrowVerifyOutputs:
+    """``grow`` saves ``fold``'s output and ``verify`` generates only its
+    probe rows; both print and write what the owned-copy, full-corpus
+    forms did."""
+
+    @pytest.mark.parametrize("op", sorted(SOURCE_MODEL))
+    def test_grow_writes_the_bytes_of_an_apply_based_save(self, tmp_path, op):
+        src = _fresh_checkpoint(tmp_path / "src", **SOURCE_MODEL[op])
+        assert cli(["grow", "--ckpt", str(src), "--op", op, "-o", str(tmp_path / "grown")]) == 0
+        ck = load_checkpoint(src)
+        ops_list = growth.parse_ops(op)
+        params, cfg, dc = growth.apply(ops_list, ck.params, ck.model_config, ck.data_config)
+        save_checkpoint(tmp_path / "ref", params, cfg, dc, ck.stage_index, ck.global_step,
+                        ck.rng_state, extra={"boundary_ops": [o.spec for o in ops_list]})
+        for name in ("tensors.bin", "manifest.json"):
+            assert ((tmp_path / "grown" / name).read_bytes()
+                    == (tmp_path / "ref" / name).read_bytes())
+
+    @pytest.mark.parametrize("batch", ["1", "4", "8", "20"])
+    def test_verify_stdout_equals_a_full_corpus_probe(self, tmp_path, capsys, monkeypatch,
+                                                      batch):
+        # corpus_size is 8: a batch of 20 repeats corpus rows
+        src = _fresh_checkpoint(tmp_path / "src", ffn_mode="shared", ffn_k=2, pool_k=2)
+
+        def stdout():
+            for op in ("unshare", "stack:2"):
+                assert cli(["verify", "--ckpt", str(src), "--op", op, "--batch", batch,
+                            "--seed", "3"]) == 0
+            return capsys.readouterr().out
+
+        probe_rows_only = stdout()
+        assert "PASS" in probe_rows_only and "report-only" in probe_rows_only
+        full, whole = cli_module.gen_corpus, load_checkpoint(src).data_config
+        monkeypatch.setattr(cli_module, "gen_corpus", lambda dc, rng: full(whole, rng))
+        assert stdout() == probe_rows_only
 
 
 class TestUsageErrors:
@@ -324,6 +392,29 @@ class TestStrictConfig:
         "negative_batch_size": (_set(("schedule", 0, "batch_size"), -2), "batch_size"),
         "zero_corpus_size": (_set(("data", "corpus_size"), 0), "corpus_size"),
         "zero_eval_batch_size": (_set(("eval_batch_size",), 0), "$.eval_batch_size"),
+        "nan_peak_lr": (_set(("optimizer", "peak_lr"), math.nan), "$.optimizer.peak_lr"),
+        "infinite_peak_lr": (_set(("optimizer", "peak_lr"), math.inf), "$.optimizer.peak_lr"),
+        "negative_peak_lr": (_set(("optimizer", "peak_lr"), -1.0), "$.optimizer.peak_lr"),
+        "zero_peak_lr": (_set(("optimizer", "peak_lr"), 0), "$.optimizer.peak_lr"),
+        "negative_warmup": (_set(("optimizer", "warmup"), -5), "$.optimizer.warmup"),
+        "beta1_one": (_set(("optimizer", "betas"), [1.0, 0.999]), "$.optimizer.betas[0]"),
+        "beta1_negative": (_set(("optimizer", "betas"), [-0.1, 0.999]),
+                           "$.optimizer.betas[0]"),
+        "beta2_above_one": (_set(("optimizer", "betas"), [0.9, 1.5]), "$.optimizer.betas[1]"),
+        "beta2_nan": (_set(("optimizer", "betas"), [0.9, math.nan]), "$.optimizer.betas[1]"),
+        "zero_eps": (_set(("optimizer", "eps"), 0), "$.optimizer.eps"),
+        "negative_eps": (_set(("optimizer", "eps"), -1e-8), "$.optimizer.eps"),
+        "infinite_eps": (_set(("optimizer", "eps"), math.inf), "$.optimizer.eps"),
+        "negative_weight_decay": (_set(("optimizer", "weight_decay"), -0.01),
+                                  "$.optimizer.weight_decay"),
+        "nan_weight_decay": (_set(("optimizer", "weight_decay"), math.nan),
+                             "$.optimizer.weight_decay"),
+        "infinite_weight_decay": (_set(("optimizer", "weight_decay"), math.inf),
+                                  "$.optimizer.weight_decay"),
+        "huge_int_peak_lr": (_set(("optimizer", "peak_lr"), 10**400), "$.optimizer.peak_lr"),
+        "huge_int_beta": (_set(("optimizer", "betas"), [0.9, 10**400]),
+                          "$.optimizer.betas[1]"),
+        "huge_int_dropout": (_set(("model", "dropout"), 10**400), "$.model.dropout"),
     }
 
     @pytest.mark.parametrize("edit", sorted(EDITS))
@@ -348,11 +439,11 @@ class TestStrictConfig:
 
     def test_int_accepted_as_float(self):
         doc = copy.deepcopy(SMALL_DOC)
-        doc["optimizer"].update(peak_lr=1, betas=[0, 1], eps=0, weight_decay=0)
+        doc["optimizer"].update(peak_lr=1, betas=[0, 0], eps=1, weight_decay=0)
         doc["model"]["dropout"] = 0
         rc = parse_run_config(doc)
         opt = rc.optimizer
         floats = (opt.peak_lr, opt.beta1, opt.beta2, opt.eps, opt.weight_decay,
                   rc.final_model.dropout_p)
-        assert floats == (1, 0, 1, 0, 0, 0)
+        assert floats == (1, 0, 0, 1, 0, 0)
         assert all(type(v) is float for v in floats)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -66,6 +67,18 @@ class TestGenCorpus:
         for stream in ("train", "heldout"):
             npt.assert_array_equal(gen_corpus(dc, Rng(seed), stream),
                                    scalar_gen_corpus(dc, Rng(seed), stream))
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("rows", [1, 4, 8, 11])
+    def test_rows_prefix_equals_full_corpus(self, order, rows):
+        # corpus_size is 8: rows above it give the whole corpus
+        dc = small_dc(markov_order=order)
+        for stream in ("train", "heldout"):
+            full = gen_corpus(dc, Rng(2), stream)
+            prefix = gen_corpus(replace(dc, corpus_size=min(rows, dc.corpus_size)),
+                                Rng(2), stream)
+            assert prefix.dtype == full.dtype
+            npt.assert_array_equal(prefix, full[:rows])
 
     def test_mask_token_never_emitted(self):
         corpus = gen_corpus(small_dc(), Rng(5))

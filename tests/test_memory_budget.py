@@ -1,12 +1,13 @@
-"""Memory budgets of the growth path: checkpoint I/O, ``growth.apply`` and
-the preservation check behind ``growtrain verify``.
+"""Memory budgets of the growth path: checkpoint I/O, ``growth.apply``, the
+preservation check behind ``growtrain verify`` and ``growtrain grow``.
 
 ``tracemalloc`` sees numpy's data buffers as well as Python ``bytes``
 objects, so the peak it reports counts every model-sized intermediate
 copy.  The bounds are counts of bytes, not timings, and repeat exactly:
-saving allocates next to nothing, loading allocates the tensors once, and
-growing allocates the grown model once, and verifying a growth op allocates
-only the tensors the op makes.
+saving allocates next to nothing, loading allocates the tensors once,
+growing allocates the grown model once, verifying a growth op allocates
+only the tensors the op makes, and ``grow`` allocates only the loaded
+tensors and the ones the op makes.
 """
 
 import tracemalloc
@@ -15,6 +16,7 @@ import pytest
 
 from growtrain import growth
 from growtrain.checkpoint import load_checkpoint, save_checkpoint
+from growtrain.cli import cli
 from growtrain.data import DataConfig
 from growtrain.model import ModelConfig, init_params
 from growtrain.rng import Rng
@@ -78,6 +80,19 @@ def test_apply_allocates_the_grown_model_once(model):
         lambda: growth.apply(ops_list, params, cfg, dc))
     assert nbytes(grown) > nbytes(params)
     assert peak <= (1 + SLACK) * nbytes(grown)
+
+
+def test_grow_allocates_the_loaded_and_the_new_tensors_only(model, tmp_path, capsys):
+    params, cfg, dc = model
+    save_checkpoint(tmp_path / "ckpt", params, cfg, dc, 0, 0, {})
+    grown, _, _ = growth.fold(growth.parse_ops("unshare,unpool"), params, cfg, dc)
+    made = sum(t.nbytes for name, t in grown.items() if name not in params)
+    code, peak = peak_allocation(lambda: cli(
+        ["grow", "--ckpt", str(tmp_path / "ckpt"), "--op", "unshare,unpool",
+         "-o", str(tmp_path / "grown")]))
+    assert code == 0
+    # the unchanged tensors are written from the loaded ones, not copied
+    assert peak <= (1 + SLACK) * (nbytes(params) + made)
 
 
 def test_verify_allocates_only_the_new_tensors(model):

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from growtrain import train
 from growtrain.checkpoint import load_checkpoint
 from growtrain.costs import schedule_cost
 from growtrain.data import DataConfig, gen_corpus
@@ -289,6 +290,16 @@ class TestRunSchedule:
         batch = random_batch(Rng(12), 2, 16, 3, 8)
         report = loss_continuity_check(pre, pre, batch)
         assert report.diff == 0.0
+
+    def test_non_finite_loss_names_stage_step_and_tensor(self, monkeypatch):
+        def poisoned(cfg, rng):
+            params = init_params(cfg, rng)
+            params["layer0.w_v1"][1, 2] = np.nan
+            return params
+        monkeypatch.setattr(train, "init_params", poisoned)
+        with pytest.raises(StateError, match=r"^stage 0 step 0: loss is nan; "
+                                             r"parameter 'layer0.w_v1' holds a non-finite"):
+            run_schedule(tiny_schedule(), seed=3)
 
     def test_loss_log_spacing(self):
         sched = tiny_schedule(stages=(
