@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -110,6 +111,8 @@ def _cmd_grow(args) -> int:
 def _cmd_verify(args) -> int:
     if args.batch < 1:
         raise ParamError(f"--batch must be >= 1, got {args.batch}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ParamError(f"--tol must be finite and >= 0, got {args.tol}")
     ckpt = load_checkpoint(args.ckpt)
     ops_list = _cli_ops(args.op)
     # a probe batch of the checkpoint's data shape, corpus rows 0, 1, ...;

@@ -125,13 +125,49 @@ def truncate(sequence: np.ndarray, train_len: int) -> np.ndarray:
     return sequence[:train_len]
 
 
+def _raw_words(rng: Rng, count: int):
+    """The rng's 64-bit words in stream order, drawn ``count`` at a time."""
+    while True:
+        yield from rng.random_raw(count).tolist()
+
+
+def _uint32_halves(words, buffered: int | None):
+    """numpy's 32-bit draws: a half left buffered by an earlier draw, then
+    the low and high half of each further word.  A word is taken from
+    ``words`` only when the halves run out, so 64-bit draws from the same
+    iterator between two 32-bit draws fall where numpy's would."""
+    if buffered is not None:
+        yield buffered
+    for word in words:
+        yield word & 0xFFFFFFFF
+        yield word >> 32
+
+
+def _bounded_uint32(halves, n: int) -> int:
+    """numpy's draw of ``integers(0, n)`` for 1 <= n <= 2**32 - 1: Lemire's
+    multiply-shift on 32-bit halves, redrawing while the low product word
+    falls below (2**32 - n) mod n.  n = 1 draws nothing."""
+    if n == 1:
+        return 0
+    product = next(halves) * n
+    if product & 0xFFFFFFFF < n:
+        threshold = (2**32 - n) % n
+        while product & 0xFFFFFFFF < threshold:
+            product = next(halves) * n
+    return product >> 32
+
+
 def mask_tokens(sequence: np.ndarray, masks_per_seq: int, rng: Rng,
                 mask_token_id: int, V: int,
                 replace_probs: tuple[float, float, float] = (0.8, 0.1, 0.1)):
     """BERT-style masking: distinct uniform positions; 80% become the mask
     token, 10% a random non-mask token, 10% stay unchanged.
 
-    Returns (input_ids, sorted positions, target ids).
+    Position by position, the decisions consume the stream exactly as one
+    ``rng.uniform()`` and, for a random token, one ``rng.integers(0, V - 1)``
+    would; they are read from raw words, so the rng's state afterwards is
+    not that of those calls.  Returns (input_ids, sorted positions, target
+    ids).
     """
     n = sequence.shape[0]
     if masks_per_seq > n:
@@ -140,12 +176,16 @@ def mask_tokens(sequence: np.ndarray, masks_per_seq: int, rng: Rng,
     targets = sequence[positions].copy()
     inputs = sequence.copy()
     p_mask, p_rand, _ = replace_probs
-    for idx, pos in enumerate(positions):
-        u = rng.uniform()
+    # a uniform takes one word, a random token at most one more (rejections
+    # aside), so one block covers the sequence
+    words = _raw_words(rng, 2 * masks_per_seq)
+    halves = _uint32_halves(words, rng.buffered_uint32())
+    for pos in positions.tolist():
+        u = (next(words) >> 11) * 2.0**-53
         if u < p_mask:
             inputs[pos] = mask_token_id
         elif u < p_mask + p_rand:
-            tok = int(rng.integers(0, V - 1))
+            tok = _bounded_uint32(halves, V - 1)
             inputs[pos] = tok if tok < mask_token_id else tok + 1
     return inputs, positions.astype(np.int64), targets
 

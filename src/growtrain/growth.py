@@ -247,8 +247,9 @@ def verify_function_preserving(params: dict, config: ModelConfig, op,
     new_params, new_config, _ = fold(ops_list, params, config, None)
     after = [encoder_forward(ids[j], masked[j], new_params, new_config, rng)[0]
              for j in range(ids.shape[0])]
-    diff = max(float(np.max(np.abs(b - a))) if b.size else 0.0
-               for b, a in zip(before, after))
+    # np.max, unlike Python's max, carries a NaN diff of any row through
+    diff = float(np.max([np.max(np.abs(b - a), initial=0.0)
+                         for b, a in zip(before, after)]))
     preserving = all(o.preserving for o in ops_list)
     passed = (diff <= tol) if preserving else True
     spec = ",".join(o.spec for o in ops_list)

@@ -202,14 +202,13 @@ def _ffn_weights(params: dict, layer: int, config: ModelConfig) -> dict:
 
 
 def ffn_apply(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
-              rng: Rng, training: bool, activation=None, rows=None):
+              rng: Rng, training: bool, rows=None):
     """FFN body (no residual, no layer-norm).  Returns (y, cache).
 
     ``rows=(n, idx)`` says that x holds rows ``idx`` of an n-row stream: the
     dropout masks are drawn for all n rows and the kept rows selected, so
     the stream and each row's bits do not depend on the selection.
     """
-    act, act_grad = activation if activation is not None else (ops.gelu, ops.gelu_grad)
     w = _ffn_weights(params, layer, config)
     p = config.dropout_p
     n, idx = rows if rows is not None else (x.shape[0], None)
@@ -220,7 +219,7 @@ def ffn_apply(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
     else:
         mid1 = ops.matmul(x, w["ffn.w11"])
         pre = ops.matmul(mid1, w["ffn.w12"])
-    a = act(pre)
+    a = ops.gelu(pre)
     mask1 = ops.dropout_mask((n, a.shape[1]), p, rng, training, idx)
     a_d = a if mask1 is None else ops.apply_dropout(a, mask1, p)
     if config.ffn_mode == "full":
@@ -233,7 +232,7 @@ def ffn_apply(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
     mask2 = ops.dropout_mask((n, y.shape[1]), p, rng, training, idx)
     out = y if mask2 is None else ops.apply_dropout(y, mask2, p, out=y)
     cache = {"x": x, "pre": pre, "a_d": a_d, "mask1": mask1,
-             "mask2": mask2, "act_grad": act_grad, "w": w, "layer": layer,
+             "mask2": mask2, "w": w, "layer": layer,
              "config": config}
     if config.ffn_mode == "factorized":
         cache["mid1"] = mid1
@@ -259,7 +258,7 @@ def ffn_backward(g: np.ndarray, cache: dict):
         g_ad, grads[prefix + "ffn.w21"] = ops.matmul_backward(g_mid2, cache["a_d"], w["ffn.w21"])
     if cache["mask1"] is not None:
         ops.apply_dropout(g_ad, cache["mask1"], p, out=g_ad)
-    g_pre = g_ad * cache["act_grad"](cache["pre"])
+    g_pre = g_ad * ops.gelu_grad(cache["pre"])
     if config.ffn_mode == "full":
         dx, grads[prefix + "ffn.w1"] = ops.matmul_backward(g_pre, cache["x"], w["ffn.w1"])
     elif config.ffn_mode == "shared":
@@ -392,7 +391,7 @@ def _query_maps(n: int, masked: np.ndarray, config: ModelConfig):
 
 
 def encoder_apply(token_ids, masked_positions, params: dict, config: ModelConfig,
-                  rng: Rng, training: bool, activation=None):
+                  rng: Rng, training: bool):
     """Forward pass through all layers.  Returns (logits, hidden, cache).
 
     Pre-norm residual blocks: x <- x + Att(LN(x)); x <- x + FFN(LN(x)).
@@ -425,7 +424,7 @@ def encoder_apply(token_ids, masked_positions, params: dict, config: ModelConfig
         x = x_res + att
         ln2, ln2_cache = ops.layer_norm(x, params[lp + "ln_ffn.gain"],
                                         params[lp + "ln_ffn.bias"], LN_EPS)
-        f, fcache = ffn_apply(ln2, params, i, config, rng_f, training, activation, rows)
+        f, fcache = ffn_apply(ln2, params, i, config, rng_f, training, rows)
         x = x + f
         layers.append({"ln_attn": ln1_cache, "ln_ffn": ln2_cache,
                        "attn": acache, "ffn": fcache})
@@ -473,7 +472,12 @@ def encoder_backward(g_logits: np.ndarray, cache: dict, grads: dict) -> None:
         grads[lp + "ln_attn.gain"] += dgain
         grads[lp + "ln_attn.bias"] += dbias
 
-    np.add.at(grads["token_emb"], cache["token_ids"], g_x)
+    # one flat scatter: element (t, d) still receives its rows in row order,
+    # so the sums are those of the row-wise np.add.at
+    D = g_x.shape[1]
+    np.add.at(np.reshape(grads["token_emb"], -1, copy=False),
+              (cache["token_ids"][:, None] * D + np.arange(D)).reshape(-1),
+              g_x.reshape(-1))
     grads["pos_emb"][:cache["n"]] += g_x
 
 
@@ -518,20 +522,18 @@ def mlm_loss(batch, params: dict, config: ModelConfig, rng: Rng, training: bool,
     return total / B, grads
 
 
-def mlm_loss_value(batch, params: dict, config: ModelConfig,
-                   rng: Rng | None = None, training: bool = False) -> float:
-    """Forward-only batch loss (no gradients)."""
+def mlm_loss_value(batch, params: dict, config: ModelConfig) -> float:
+    """Forward-only batch loss (no gradients, dropout off)."""
     ids, masked, targets = batch
     ids = np.asarray(ids, dtype=np.int64)
     masked = np.asarray(masked, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
     if masked.size == 0:
         raise InputError("mlm_loss_value: batch has no masked positions")
-    rng = rng if rng is not None else Rng(0)
+    rng = Rng(0)  # draws nothing with dropout off
     total = 0.0
     for j in range(ids.shape[0]):
-        logits, _ = encoder_forward(ids[j], masked[j], params, config,
-                                    rng.fork(f"seq{j}"), training)
+        logits, _ = encoder_forward(ids[j], masked[j], params, config, rng)
         loss_j, _ = ops.cross_entropy_logits(logits, targets[j])
         total += loss_j
     return total / ids.shape[0]

@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +71,23 @@ class TestPlan:
         assert cli(["plan", "-c", name, "--json"]) == 0
         from_name = json.loads(capsys.readouterr().out)
         assert from_file == from_name
+
+    def test_preset_lookup_outside_the_source_tree(self, capsys, tmp_path):
+        """A copy of the package, alone on the import path of a fresh
+        interpreter, finds its presets as the source tree does."""
+        site = tmp_path / "site"
+        shutil.copytree(Path(config.__file__).parent, site / "growtrain",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); import growtrain; "
+                  "assert growtrain.__file__.startswith(sys.argv[1]), growtrain.__file__; "
+                  "from growtrain.cli import cli; sys.exit(cli(sys.argv[2:]))")
+        # -I: no PYTHONPATH, no user site and no working directory on sys.path
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", script, str(site), "plan", "-c", "compound_base_desk"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert cli(["plan", "-c", "compound_base_desk"]) == 0
+        assert proc.stdout == capsys.readouterr().out
 
     def test_missing_config_exits_1(self, capsys):
         # a preset name is matched against the shipped file names, never
@@ -171,6 +191,14 @@ class TestTrainGrowVerifyEval:
                         "--batch", batch]) == 1
             captured = capsys.readouterr()
             assert captured.err.startswith("error:") and "op stack" not in captured.out
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_verify_rejects_tolerance_before_loading(self, tol, tmp_path, capsys):
+        # the checkpoint does not exist: the tolerance is checked first
+        assert cli(["verify", "--ckpt", str(tmp_path / "missing"), "--op", "unshare",
+                    f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --tol") and captured.out == ""
 
     def test_train_non_finite_loss_exits_1(self, tmp_path, capsys):
         # the first step's update at this rate makes the next forward overflow

@@ -5,8 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from growtrain.data import (DataConfig, gen_corpus, iter_batches, mask_tokens,
-                            transition_matrix, truncate)
+from growtrain.data import (DataConfig, _bounded_uint32, _raw_words, _uint32_halves,
+                            gen_corpus, iter_batches, mask_tokens, transition_matrix,
+                            truncate)
 from growtrain.errors import InputError, ValidationError
 from growtrain.model import ModelConfig
 from growtrain.rng import Rng
@@ -132,6 +133,49 @@ class TestGenCorpus:
         npt.assert_array_equal(T[0], 0.0)
 
 
+def scalar_mask_tokens(sequence, masks_per_seq, rng, mask_token_id, V,
+                       replace_probs=(0.8, 0.1, 0.1)):
+    """One Generator call per masked position: the reference mask_tokens
+    equals."""
+    positions = np.sort(rng.choice(sequence.shape[0], size=masks_per_seq, replace=False))
+    targets = sequence[positions].copy()
+    inputs = sequence.copy()
+    p_mask, p_rand, _ = replace_probs
+    for pos in positions:
+        u = rng.uniform()
+        if u < p_mask:
+            inputs[pos] = mask_token_id
+        elif u < p_mask + p_rand:
+            tok = int(rng.integers(0, V - 1))
+            inputs[pos] = tok if tok < mask_token_id else tok + 1
+    return inputs, positions.astype(np.int64), targets
+
+
+class TestBoundedUint32:
+    def test_rejection_redraws_on_crafted_halves(self):
+        # n = 3: the threshold (2**32 - 3) % 3 is 1, so a half of 0 (low
+        # product word 0) is rejected and the next half decides
+        halves = iter([0, 0x80000000, 7])
+        assert _bounded_uint32(halves, 3) == 1  # (0x80000000 * 3) >> 32
+        assert next(halves) == 7
+        # a low product word below n but at or above the threshold is kept
+        assert _bounded_uint32(iter([0x55555556]), 3) == 1
+
+    def test_one_value_draws_nothing(self):
+        assert _bounded_uint32(iter([]), 1) == 0
+
+    @pytest.mark.parametrize("n", [3 * 2**30, 2**31 + 1, 5])
+    def test_equals_generator_integers(self, n):
+        """At n = 3 * 2**30 a quarter of the halves are rejected."""
+        for s in range(20):
+            rng, ref = Rng(s).fork("bounded"), Rng(s).fork("bounded")
+            ref.choice(9, size=s % 4, replace=False)  # leaves a half buffered or not
+            rng.choice(9, size=s % 4, replace=False)
+            halves = _uint32_halves(_raw_words(rng, 4), rng.buffered_uint32())
+            got = [_bounded_uint32(halves, n) for _ in range(50)]
+            npt.assert_array_equal(got, ref.integers(0, n, size=50))
+
+
 class TestMaskTokens:
     def test_zero_masks_identity(self):
         seq = np.arange(1, 9)
@@ -185,6 +229,25 @@ class TestMaskTokens:
                        ("keep", 0.1 + p_rand_hit)):
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(counts[key] / n - p) < 3 * sigma, (key, counts)
+
+    @pytest.mark.parametrize("V", [2, 3, 16, 64])
+    @pytest.mark.parametrize("replace_probs", [(0.8, 0.1, 0.1), (0.0, 1.0, 0.0)])
+    def test_equals_scalar_loop(self, V, replace_probs):
+        """Outputs equal the per-position Generator loop on every case, over
+        mask counts 0, 1, 19, n - 1 and n, and mask ids at 0, 1 and V - 1."""
+        for n in (20, 128):
+            for m in (0, 1, 19, n - 1, n):
+                for mask_id in (0, 1, V - 1):
+                    for s in range(20):
+                        rng = Rng(s).fork(f"n{n}.m{m}.id{mask_id}")
+                        seq = rng.fork("seq").integers(0, V, size=n)
+                        got = mask_tokens(seq, m, rng.fork("mask"), mask_id, V,
+                                          replace_probs)
+                        want = scalar_mask_tokens(seq, m, rng.fork("mask"), mask_id, V,
+                                                  replace_probs)
+                        for g, w in zip(got, want):
+                            assert g.dtype == w.dtype
+                            npt.assert_array_equal(g, w)
 
     def test_too_many_masks_rejected(self):
         with pytest.raises(InputError):

@@ -331,6 +331,19 @@ class TestPreservationProperty:
             assert report.preservation_class and report.passed
             assert report.max_abs_diff <= 1e-9
 
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_nan_logits_in_any_row_fail(self, row):
+        """A NaN in the logits of any probe row is reported as a NaN diff
+        and fails, whichever row holds it."""
+        cfg = small_config(ffn_mode="shared", ffn_k=2)
+        params = init_params(cfg, Rng(32).fork("init"))
+        ids = np.array([[1, 2, 1, 2], [3, 4, 3, 4]])
+        params["token_emb"][ids[row, 0]] = np.nan  # a token only this row reads
+        report = verify_function_preserving(params, cfg, UnshareFFN(),
+                                            (ids, np.array([[0, 2], [1, 3]])))
+        assert report.preservation_class
+        assert np.isnan(report.max_abs_diff) and not report.passed
+
     def test_stack_report_only_nonzero(self):
         cfg = small_config(L=1)
         params = init_params(cfg, Rng(30).fork("init"))

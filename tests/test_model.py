@@ -15,7 +15,12 @@ from growtrain.rng import Rng
 
 from conftest import random_batch
 
-IDENTITY_ACT = (lambda x: x, lambda x: np.ones_like(x))
+
+@pytest.fixture
+def identity_activation(monkeypatch):
+    """The FFN with GELU replaced by the identity, for hand arithmetic."""
+    monkeypatch.setattr(ops, "gelu", lambda x: x)
+    monkeypatch.setattr(ops, "gelu_grad", lambda x: np.ones_like(x))
 
 
 def brute_force_attention(x_q, x_kv, params, layer, M, D, scale):
@@ -75,31 +80,29 @@ def per_head_attention_with_grads(x_q, x_kv, params, layer, config, rng, g):
 
 
 class TestFFN:
-    def test_identity_activation_hand_arithmetic(self):
+    def test_identity_activation_hand_arithmetic(self, identity_activation):
         cfg = ModelConfig(L=1, D=1, H=2, M=1, N_max=4, V=3, dropout_p=0.0)
         params = init_params(cfg, Rng(0).fork("init"))
         params["layer0.ffn.w1"] = np.array([[2.0, 3.0]])
         params["layer0.ffn.w2"] = np.array([[1.0], [1.0]])
-        out = ffn_apply(np.array([[1.0]]), params, 0, cfg, Rng(0), False,
-                        activation=IDENTITY_ACT)[0]
+        out = ffn_apply(np.array([[1.0]]), params, 0, cfg, Rng(0), False)[0]
         npt.assert_array_equal(out, [[5.0]])
 
-    def test_shared_equals_tiled_full(self):
+    def test_shared_equals_tiled_full(self, identity_activation):
         shared = ModelConfig(L=1, D=1, H=4, M=1, N_max=4, V=3, dropout_p=0.0,
                              ffn_mode="shared", ffn_k=2)
         ps = init_params(shared, Rng(0).fork("init"))
         ps["layer0.ffn.w1s"] = np.array([[1.0, 2.0]])
         ps["layer0.ffn.w2s"] = np.array([[3.0], [4.0]])
         x = np.array([[1.0]])
-        out_shared = ffn_apply(x, ps, 0, shared, Rng(0), False,
-                               activation=IDENTITY_ACT)[0]
+        out_shared = ffn_apply(x, ps, 0, shared, Rng(0), False)[0]
         npt.assert_array_equal(out_shared, [[11.0]])
 
         full = shared.with_(ffn_mode="full", ffn_k=1)
         pf = init_params(full, Rng(0).fork("init"))
         pf["layer0.ffn.w1"] = np.array([[1.0, 2.0, 1.0, 2.0]])
         pf["layer0.ffn.w2"] = np.array([[1.5], [2.0], [1.5], [2.0]])
-        out_full = ffn_apply(x, pf, 0, full, Rng(0), False, activation=IDENTITY_ACT)[0]
+        out_full = ffn_apply(x, pf, 0, full, Rng(0), False)[0]
         npt.assert_array_equal(out_full, [[11.0]])
 
     @pytest.mark.parametrize("mode,kw", [
@@ -359,6 +362,28 @@ class TestEncoder:
         with pytest.raises(InputError):
             encoder_forward(np.zeros(9, dtype=int), [], tiny_params,
                             tiny_config, Rng(0))
+
+
+    @pytest.mark.parametrize("pool_k", [1, 2])
+    def test_embedding_scatter_equals_row_wise_add_at(self, pool_k):
+        """The token-embedding gradient is a row-wise ``np.add.at`` of the
+        input gradient (which pos_emb receives alone), byte for byte, onto
+        gradients already holding earlier sequences' sums."""
+        cfg = ModelConfig(L=2, D=8, H=16, M=2, N_max=16, V=7, dropout_p=0.1,
+                          pool_k=pool_k)
+        params = init_params(cfg, Rng(60).fork("init"))
+        ids = np.array([3, 1, 3, 3, 5, 1, 2, 3, 6, 6, 1, 4, 3, 2, 5, 3])
+        masked = [2, 7, 11]
+        logits, _, cache = encoder_apply(ids, masked, params, cfg, Rng(61), True)
+        _, g_logits = ops.cross_entropy_logits(logits, np.array([1, 2, 3]))
+        grads = zero_grads(params)
+        # earlier sums of the rows' own size (about 1e-3), where the order
+        # of the additions shows in the rounding
+        grads["token_emb"] = Rng(62).normal(size=grads["token_emb"].shape) * 1e-3
+        want = grads["token_emb"].copy()
+        encoder_backward(g_logits, cache, grads)
+        np.add.at(want, ids, grads["pos_emb"][:ids.size])
+        assert grads["token_emb"].tobytes() == want.tobytes()
 
 
 def full_row_encoder_apply(token_ids, masked_positions, params, config, rng, training):
