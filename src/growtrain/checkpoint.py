@@ -101,6 +101,17 @@ def _read_manifest(path: Path) -> dict:
     for key in _MANIFEST_KEYS:
         if key not in manifest:
             raise IntegrityError(f"{path}: {MANIFEST_NAME} has no {key!r} field")
+    for key in ("stage_index", "global_step"):
+        if not (_has_type(manifest[key], int) and manifest[key] >= 0):
+            raise IntegrityError(f"{path}: {MANIFEST_NAME} {key!r} = {manifest[key]!r} "
+                                 f"is not a non-negative integer")
+    for key in ("rng_state", "extra"):
+        if not isinstance(manifest.get(key, {}), dict):
+            raise IntegrityError(f"{path}: {MANIFEST_NAME} {key!r} is not a JSON object")
+    specs = manifest.get("extra", {}).get("boundary_ops", [])
+    if not (isinstance(specs, list) and all(isinstance(s, str) for s in specs)):
+        raise IntegrityError(f"{path}: {MANIFEST_NAME} extra.boundary_ops = {specs!r} "
+                             f"is not a list of strings")
     if not isinstance(manifest["tensors"], list):
         raise IntegrityError(f"{path}: {MANIFEST_NAME} 'tensors' is not a list")
     for i, entry in enumerate(manifest["tensors"]):

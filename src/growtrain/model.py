@@ -17,7 +17,8 @@ Reduced configurations used by early growth stages:
 
 Whatever the configuration, the *last* layer computes only the rows the MLM
 head reads: its queries, residual and FFN run on the masked rows alone,
-against keys and values over the whole stream (see ``encoder_apply``).
+against keys and values over the whole stream (see ``encoder_apply``), and
+its dropout masks are drawn for those rows alone.
 """
 
 from __future__ import annotations
@@ -202,16 +203,15 @@ def _ffn_weights(params: dict, layer: int, config: ModelConfig) -> dict:
 
 
 def ffn_apply(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
-              rng: Rng, training: bool, rows=None):
+              rng: Rng, training: bool):
     """FFN body (no residual, no layer-norm).  Returns (y, cache).
 
-    ``rows=(n, idx)`` says that x holds rows ``idx`` of an n-row stream: the
-    dropout masks are drawn for all n rows and the kept rows selected, so
-    the stream and each row's bits do not depend on the selection.
+    The two dropout masks are drawn at the shapes computed, (n, H') then
+    (n, D) for the n rows of x: the last layer, which holds only the
+    head's rows, draws for those rows alone.
     """
     w = _ffn_weights(params, layer, config)
     p = config.dropout_p
-    n, idx = rows if rows is not None else (x.shape[0], None)
     if config.ffn_mode == "full":
         pre = ops.matmul(x, w["ffn.w1"])
     elif config.ffn_mode == "shared":
@@ -220,7 +220,7 @@ def ffn_apply(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
         mid1 = ops.matmul(x, w["ffn.w11"])
         pre = ops.matmul(mid1, w["ffn.w12"])
     a = ops.gelu(pre)
-    mask1 = ops.dropout_mask((n, a.shape[1]), p, rng, training, idx)
+    mask1 = ops.dropout_mask(a.shape, p, rng, training)
     a_d = a if mask1 is None else ops.apply_dropout(a, mask1, p)
     if config.ffn_mode == "full":
         y = ops.matmul(a_d, w["ffn.w2"])
@@ -229,7 +229,7 @@ def ffn_apply(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
     else:
         mid2 = ops.matmul(a_d, w["ffn.w21"])
         y = ops.matmul(mid2, w["ffn.w22"])
-    mask2 = ops.dropout_mask((n, y.shape[1]), p, rng, training, idx)
+    mask2 = ops.dropout_mask(y.shape, p, rng, training)
     out = y if mask2 is None else ops.apply_dropout(y, mask2, p, out=y)
     cache = {"x": x, "pre": pre, "a_d": a_d, "mask1": mask1,
              "mask2": mask2, "w": w, "layer": layer,
@@ -292,7 +292,7 @@ def _dropped(probs: np.ndarray, mask, p: float) -> np.ndarray:
 
 
 def attention_apply(x_q: np.ndarray, x_kv: np.ndarray, params: dict, layer: int,
-                    config: ModelConfig, rng: Rng, training: bool, rows=None):
+                    config: ModelConfig, rng: Rng, training: bool):
     """Multi-head attention body (no residual, no layer-norm).
 
     Per head m: scores = (x_q Wq_m)(x_kv Wk_m^T)^T, softmax rows, optional
@@ -300,9 +300,8 @@ def attention_apply(x_q: np.ndarray, x_kv: np.ndarray, params: dict, layer: int,
     m-th output block.  Head contributions are summed (equivalent to
     concat-then-project).  Heads are the leading axis of one batched
     computation; the dropout mask is one (M, nq, nkv) draw, which consumes
-    the stream exactly as M consecutive (nq, nkv) draws would.  With
-    ``rows=(n, idx)``, x_q holds rows ``idx`` of an n-row query stream and
-    the mask is drawn at (M, n, nkv) before those rows are kept.
+    the stream exactly as M consecutive (nq, nkv) draws would, with nq the
+    rows of x_q: the last layer draws for the head's rows alone.
     """
     D, M = config.D, config.M
     if x_q.shape[1] != D or x_kv.shape[1] != D:
@@ -317,8 +316,7 @@ def attention_apply(x_q: np.ndarray, x_kv: np.ndarray, params: dict, layer: int,
     scores = q @ k.transpose(0, 2, 1)
     scores *= scale
     probs = ops.softmax_rows(scores)
-    n, idx = rows if rows is not None else (x_q.shape[0], None)
-    mask = ops.dropout_mask((M, n, x_kv.shape[0]), config.dropout_p, rng, training, idx)
+    mask = ops.dropout_mask(probs.shape, config.dropout_p, rng, training)
     ctx = _merge_heads(_dropped(probs, mask, config.dropout_p) @ v)
     out = ctx @ w["w_v2_t"].T
     cache = {"x_q": x_q, "x_kv": x_kv, "q": q, "k": k, "v": v, "probs": probs,
@@ -368,7 +366,7 @@ def _check_positions(n: int, masked_positions, config: ModelConfig) -> None:
 
 
 def _query_maps(n: int, masked: np.ndarray, config: ModelConfig):
-    """Per-layer query maps and the rows the MLM head reads.
+    """Per-layer query maps.
 
     Layer 0 pools its queries with P when ``pool_k > 1``; the last layer
     keeps only the head's rows, a selection from its n'-row query stream
@@ -376,7 +374,6 @@ def _query_maps(n: int, masked: np.ndarray, config: ModelConfig):
     A layer with map Q attends from Q @ LN(x) to LN(x) and carries Q @ x on
     its residual path.  Every output row depends on its own query row only,
     so the rows the last layer skips are rows no later step reads.
-    Returns (maps, pooled_masked, n').
     """
     if config.pool_k > 1:
         P, pooled_masked = build_pooling(n, masked, config.pool_k)
@@ -387,7 +384,7 @@ def _query_maps(n: int, masked: np.ndarray, config: ModelConfig):
     select[np.arange(pooled_masked.size), pooled_masked] = 1.0
     maps = [P] + [None] * (config.L - 1)
     maps[-1] = select if config.L > 1 or P is None else P[pooled_masked]
-    return maps, pooled_masked, n_q
+    return maps
 
 
 def encoder_apply(token_ids, masked_positions, params: dict, config: ModelConfig,
@@ -399,8 +396,8 @@ def encoder_apply(token_ids, masked_positions, params: dict, config: ModelConfig
     path; layers >= 2 run at the pooled length.  The last layer runs its
     queries, residual and FFN on the masked rows only (``_query_maps``), so
     ``hidden`` holds one final row per masked position, in order.  Its
-    dropout masks are drawn for the whole query stream and the kept rows
-    selected, so the random stream is that of a full-row pass.
+    dropout masks are drawn for those rows only, the j-th masked row taking
+    the j-th row of each draw.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     n = token_ids.shape[0]
@@ -408,23 +405,22 @@ def encoder_apply(token_ids, masked_positions, params: dict, config: ModelConfig
     masked = np.asarray(list(masked_positions), dtype=np.int64)
 
     x = params["token_emb"][token_ids] + params["pos_emb"][:n]
-    maps, pooled_masked, n_q = _query_maps(n, masked, config)
+    maps = _query_maps(n, masked, config)
 
     layers = []
     for i in range(config.L):
         lp = f"layer{i}."
         rng_a = rng.fork(f"layer{i}.attn")
         rng_f = rng.fork(f"layer{i}.ffn")
-        rows = (n_q, pooled_masked) if i == config.L - 1 else None
         ln1, ln1_cache = ops.layer_norm(x, params[lp + "ln_attn.gain"],
                                         params[lp + "ln_attn.bias"], LN_EPS)
         Q = maps[i]
         x_q, x_res = (ln1, x) if Q is None else (Q @ ln1, Q @ x)
-        att, acache = attention_apply(x_q, ln1, params, i, config, rng_a, training, rows)
+        att, acache = attention_apply(x_q, ln1, params, i, config, rng_a, training)
         x = x_res + att
         ln2, ln2_cache = ops.layer_norm(x, params[lp + "ln_ffn.gain"],
                                         params[lp + "ln_ffn.bias"], LN_EPS)
-        f, fcache = ffn_apply(ln2, params, i, config, rng_f, training, rows)
+        f, fcache = ffn_apply(ln2, params, i, config, rng_f, training)
         x = x + f
         layers.append({"ln_attn": ln1_cache, "ln_ffn": ln2_cache,
                        "attn": acache, "ffn": fcache})

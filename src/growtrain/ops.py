@@ -96,21 +96,19 @@ def layer_norm_backward(g: np.ndarray, cache, gain: np.ndarray):
     return dx, dgain, dbias
 
 
-def dropout_mask(shape, p: float, rng: Rng, training: bool, rows=None):
+def dropout_mask(shape, p: float, rng: Rng, training: bool):
     """Boolean keep-mask (True with probability 1 - p), or None when inactive.
 
     Equals ``rng.uniform(size=shape) >= p`` bit for bit and draws the same
     stream: a Philox double is ``(raw >> 11) * 2**-53``, so it is >= p
-    exactly when ``raw >> 11 >= ceil(p * 2**53)``.  With ``rows`` the mask
-    is still drawn at ``shape`` and only those indices of its second-to-last
-    axis are returned, so each kept row has the bits of the full draw.
+    exactly when ``raw >> 11 >= ceil(p * 2**53)``.  It consumes exactly
+    ``prod(shape)`` words, so a caller draws at the shape it computes.
     """
     if not 0.0 <= p < 1.0:
         raise ParamError(f"dropout: p must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return None
-    keep = rng.random_raw(shape) >= np.uint64(math.ceil(p * 2.0**53) << 11)
-    return keep if rows is None else keep[..., rows, :]
+    return rng.random_raw(shape) >= np.uint64(math.ceil(p * 2.0**53) << 11)
 
 
 def apply_dropout(x: np.ndarray, keep: np.ndarray, p: float, out=None) -> np.ndarray:

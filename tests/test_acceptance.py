@@ -30,7 +30,7 @@ from test_model import brute_force_attention
 
 # pinned after the first seed-0 run of the compound desk schedule
 PINNED_COMPOUND_SPEEDUP = "+104.2016"
-PINNED_HELDOUT_LOSS = 1.9585796831556799
+PINNED_HELDOUT_LOSS = 1.9727178589331071
 
 
 def report(line: str) -> None:

@@ -12,7 +12,10 @@ were captured from the code before checkpoints were streamed tensor by
 tensor.  The parameter and ``final/tensors.bin`` pins were re-captured when
 the last encoder layer began to compute only the rows the head reads: the
 losses stayed bit-identical, and the gradients moved by at most a few
-1e-19, the rounding of BLAS products over fewer rows.
+1e-19, the rounding of BLAS products over fewer rows.  The loss, parameter,
+``final/tensors.bin`` and ``loss.csv`` pins were re-captured again when
+that layer began to draw its dropout masks for those rows only, a different
+random stream by design; the manifest pin did not move.
 """
 
 import hashlib
@@ -25,14 +28,14 @@ from growtrain.model import ModelConfig
 from growtrain.train import OptimizerConfig, Schedule, Stage, run_schedule
 
 PINNED_LOSSES = [
-    4.159280306257447, 4.155469226070121, 4.145699548319687, 4.1842151362628766,
-    4.11508297094565, 3.9362721430223595, 4.027537265085091, 4.203274035181825,
+    4.159260292335238, 4.156004842758851, 4.146375761839446, 4.182758149536517,
+    4.122072150987923, 3.8669944185360787, 3.9474185195912104, 4.23707833347194,
 ]
-PINNED_PARAMS_SHA256 = "cb57e29a9743032a31f215c7ef6f0aca6f868a4272cb486910f4a7da88a1a350"
+PINNED_PARAMS_SHA256 = "67d28c7f40ab62b9bc38e455672641352a40db2ebc0cfe188014997f2dee7021"
 PINNED_FILE_SHA256 = {
-    "final/tensors.bin": "ad932dd71e80e2de0d3d577b5bc13a4680b6a78d4d2171a653b36d5ac5077644",
+    "final/tensors.bin": "bf620af11696228e5230541f693e3c55109c1c8260cdc5ebefa7caaea37071f4",
     "final/manifest.json": "a803ab9c93e540afdd222a5f4e2a2f1fcfd7e345716d3914df61cb03d62b4b14",
-    "loss.csv": "825aaa16656889f2b6fe7bd2ee98bd0427c6a344446668304f0124e1ecb6b844",
+    "loss.csv": "bb0d448488d4dbaa6be9281764067c12461b4d7d19480ea4fde6099c22d56892",
 }
 
 

@@ -132,6 +132,28 @@ class TestIntegrity:
         with pytest.raises(ValidationError, match="head.w"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("stage_index", "x"), ("stage_index", -1), ("stage_index", True),
+        ("stage_index", 1.0), ("global_step", "x"), ("global_step", -3),
+        ("rng_state", "x"), ("rng_state", [42]), ("extra", 5), ("extra", None),
+        ("extra", {"boundary_ops": 5}), ("extra", {"boundary_ops": "unshare"}),
+        ("extra", {"boundary_ops": ["unshare", 5]}),
+    ])
+    def test_malformed_scalar_field_rejected(self, saved, key, value):
+        path, *_ = saved
+        doc = json.loads((path / MANIFEST_NAME).read_text())
+        doc[key] = value
+        (path / MANIFEST_NAME).write_text(json.dumps(doc))
+        with pytest.raises(IntegrityError, match=key):
+            load_checkpoint(path)
+
+    def test_manifest_without_extra_loads(self, saved):
+        path, *_ = saved
+        doc = json.loads((path / MANIFEST_NAME).read_text())
+        del doc["extra"]
+        (path / MANIFEST_NAME).write_text(json.dumps(doc))
+        assert load_checkpoint(path).extra == {}
+
     def test_no_tmp_files_left_behind(self, saved):
         path, *_ = saved
         assert not list(path.glob("*.tmp"))

@@ -359,8 +359,8 @@ def _negate_2d_shape(doc):
 
 
 class TestMalformedManifest:
-    """A manifest with a malformed shape or config ends ``verify`` with exit
-    code 1 and an ``error:`` line, not a traceback."""
+    """A manifest with a malformed shape, config or scalar field ends
+    ``verify`` with exit code 1 and an ``error:`` line, not a traceback."""
 
     EDITS = {
         "negated_2d_shape": _negate_2d_shape,
@@ -371,6 +371,11 @@ class TestMalformedManifest:
         "string_width": lambda doc: doc["model_config"].update(D="8"),
         "float_heads": lambda doc: doc["model_config"].update(M=2.0),
         "unknown_data_key": lambda doc: doc["data_config"].update(vocab=8),
+        "string_stage_index": lambda doc: doc.update(stage_index="x"),
+        "negative_global_step": lambda doc: doc.update(global_step=-1),
+        "string_rng_state": lambda doc: doc.update(rng_state="x"),
+        "int_extra": lambda doc: doc.update(extra=5),
+        "int_boundary_ops": lambda doc: doc.update(extra={"boundary_ops": 5}),
     }
 
     @pytest.mark.parametrize("edit", sorted(EDITS))

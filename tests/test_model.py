@@ -386,10 +386,27 @@ class TestEncoder:
         assert grads["token_emb"].tobytes() == want.tobytes()
 
 
+class KeptRowsRng:
+    """A last-layer dropout fork for the full-row oracle.  A full-row draw
+    at (..., n_q, c) gives the head's rows the words of a (..., m, c) draw
+    from the wrapped fork, the draw the trimmed layer makes, and every other
+    row all-keep words: the head never reads those rows."""
+
+    def __init__(self, rng, rows):
+        self.rng, self.rows = rng, rows
+
+    def random_raw(self, shape):
+        raw = np.full(shape, np.iinfo(np.uint64).max, dtype=np.uint64)
+        raw[..., self.rows, :] = self.rng.random_raw(
+            shape[:-2] + (self.rows.size, shape[-1]))
+        return raw
+
+
 def full_row_encoder_apply(token_ids, masked_positions, params, config, rng, training):
     """The encoder before the last layer was trimmed: every layer computes
     every row of its query stream, and the head reads the masked rows of
-    the full final stream.  The oracle for ``encoder_apply``."""
+    the full final stream.  The last layer's dropout comes through
+    ``KeptRowsRng``.  The oracle for ``encoder_apply``."""
     token_ids = np.asarray(token_ids, dtype=np.int64)
     n = token_ids.shape[0]
     masked = np.asarray(list(masked_positions), dtype=np.int64)
@@ -403,6 +420,9 @@ def full_row_encoder_apply(token_ids, masked_positions, params, config, rng, tra
         lp = f"layer{i}."
         rng_a = rng.fork(f"layer{i}.attn")
         rng_f = rng.fork(f"layer{i}.ffn")
+        if i == config.L - 1:
+            rng_a = KeptRowsRng(rng_a, pooled_masked)
+            rng_f = KeptRowsRng(rng_f, pooled_masked)
         ln1, ln1_cache = ops.layer_norm(x, params[lp + "ln_attn.gain"],
                                         params[lp + "ln_attn.bias"], 1e-12)
         if i == 0 and P is not None:
@@ -476,7 +496,7 @@ FFN_MODES = {"full": {}, "shared": {"ffn_k": 2}, "factorized": {"ffn_h": 3}}
 
 class TestTrimmedLastLayer:
     """The last layer computes only the rows the head reads; the full-row
-    encoder above is the oracle, with dropout on and the same streams."""
+    encoder above is the oracle, with dropout on and the same kept-row bits."""
 
     @pytest.mark.parametrize("masks", sorted(ORACLE_MASKS))
     @pytest.mark.parametrize("mode", sorted(FFN_MODES))
@@ -511,6 +531,45 @@ class TestTrimmedLastLayer:
         for name in params:
             npt.assert_allclose(grads[name], ref_grads[name], rtol=1e-12, atol=1e-15,
                                 err_msg=name)
+
+    @pytest.mark.parametrize("mode", sorted(FFN_MODES))
+    @pytest.mark.parametrize("pool_k", [1, 2])
+    @pytest.mark.parametrize("L", [1, 2, 4])
+    def test_dropout_draws_only_computed_rows(self, L, pool_k, mode, monkeypatch):
+        """Each layer's dropout forks consume the words of the rows it
+        computes: the last layer M m n_kv and m (H' + D), the others their
+        full query stream."""
+        cfg = ModelConfig(L=L, D=8, H=16, M=2, N_max=ORACLE_N, V=11, dropout_p=0.3,
+                          ffn_mode=mode, pool_k=pool_k, **FFN_MODES[mode])
+        params = init_params(cfg, Rng(44).fork("init"))
+        masked = ORACLE_MASKS["nineteen"]
+        ids = np.arange(ORACLE_N) % 10 + 1
+        forks = {}
+        fork = Rng.fork
+
+        def recording_fork(self, label):
+            forks[label] = fork(self, label)
+            return forks[label]
+
+        monkeypatch.setattr(Rng, "fork", recording_fork)
+        seq = Rng(45)
+        encoder_apply(ids, masked, params, cfg, seq, training=True)
+
+        def position(rng):
+            state = rng._gen.bit_generator.state
+            return state["state"]["counter"].tolist(), state["buffer_pos"]
+
+        n, m = ORACLE_N, len(masked)
+        n_pool = build_pooling(n, masked, pool_k)[0].shape[0] if pool_k > 1 else n
+        width = cfg.H // cfg.ffn_k   # H', the GELU width
+        for i in range(L):
+            n_q = m if i == L - 1 else n_pool
+            n_kv = n if i == 0 else n_pool
+            for label, words in ((f"layer{i}.attn", cfg.M * n_q * n_kv),
+                                 (f"layer{i}.ffn", n_q * (width + cfg.D))):
+                want = fork(seq, label)
+                want.random_raw(words)
+                assert position(forks[label]) == position(want), label
 
     @pytest.mark.parametrize("pool_k", [1, 2])
     @pytest.mark.parametrize("L", [1, 2])
