@@ -116,12 +116,14 @@ def _cmd_verify(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     ops_list = _cli_ops(args.op)
     # a probe batch of the checkpoint's data shape, corpus rows 0, 1, ...;
-    # only the rows it reads are generated
+    # only the rows it reads are generated.  Rows past the corpus would
+    # repeat earlier rows with the same masks and could not change the
+    # maximum diff, so each distinct row is evaluated once.
     dc = ckpt.data_config
     rng = Rng(args.seed).fork("probe")
-    rows = gen_corpus(replace(dc, corpus_size=min(args.batch, dc.corpus_size)),
-                      rng.fork("corpus"))
-    ids, masked, _ = assemble(rows, np.arange(args.batch) % dc.corpus_size, dc, rng)
+    n_rows = min(args.batch, dc.corpus_size)
+    rows = gen_corpus(replace(dc, corpus_size=n_rows), rng.fork("corpus"))
+    ids, masked, _ = assemble(rows, np.arange(n_rows), dc, rng)
     report = growth.verify_function_preserving(
         ckpt.params, ckpt.model_config, ops_list, (ids, masked), tol=args.tol)
     kind = "preservation-class" if report.preservation_class else "report-only"

@@ -29,6 +29,9 @@ class DataConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.V < 2:
+            raise ValidationError(
+                f"V must be >= 2 (the mask token and a token to emit), got {self.V}")
         if self.corpus_size < 1:
             raise ValidationError(f"corpus_size must be >= 1, got {self.corpus_size}")
         if self.train_len > self.seq_len_full:

@@ -17,8 +17,16 @@ Reduced configurations used by early growth stages:
 
 Whatever the configuration, the *last* layer computes only the rows the MLM
 head reads: its queries, residual and FFN run on the masked rows alone,
-against keys and values over the whole stream (see ``encoder_apply``), and
-its dropout masks are drawn for those rows alone.
+gathered by row index, against keys and values over the whole stream (see
+``encoder_apply`` and ``_query_maps``), and its dropout masks are drawn for
+those rows alone.  A one-layer model therefore builds no pooling matrix:
+pooling keeps each masked row as it is.
+
+Results go into buffers already in hand: the softmax runs in place on the
+scores, dropout scales the GELU output, and residual and gradient sums land
+in their freshly computed operand.  Every operation keeps its operands and
+their order up to commuting one + or *, so every output has the bits of
+the out-of-place expressions.
 """
 
 from __future__ import annotations
@@ -208,7 +216,8 @@ def ffn_apply(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
 
     The two dropout masks are drawn at the shapes computed, (n, H') then
     (n, D) for the n rows of x: the last layer, which holds only the
-    head's rows, draws for those rows alone.
+    head's rows, draws for those rows alone.  With dropout off ``rng`` is
+    not read and may be None.
     """
     w = _ffn_weights(params, layer, config)
     p = config.dropout_p
@@ -219,9 +228,10 @@ def ffn_apply(x: np.ndarray, params: dict, layer: int, config: ModelConfig,
     else:
         mid1 = ops.matmul(x, w["ffn.w11"])
         pre = ops.matmul(mid1, w["ffn.w12"])
-    a = ops.gelu(pre)
-    mask1 = ops.dropout_mask(a.shape, p, rng, training)
-    a_d = a if mask1 is None else ops.apply_dropout(a, mask1, p)
+    a_d = ops.gelu(pre)
+    mask1 = ops.dropout_mask(a_d.shape, p, rng, training)
+    if mask1 is not None:
+        ops.apply_dropout(a_d, mask1, p, out=a_d)
     if config.ffn_mode == "full":
         y = ops.matmul(a_d, w["ffn.w2"])
     elif config.ffn_mode == "shared":
@@ -258,13 +268,13 @@ def ffn_backward(g: np.ndarray, cache: dict):
         g_ad, grads[prefix + "ffn.w21"] = ops.matmul_backward(g_mid2, cache["a_d"], w["ffn.w21"])
     if cache["mask1"] is not None:
         ops.apply_dropout(g_ad, cache["mask1"], p, out=g_ad)
-    g_pre = g_ad * ops.gelu_grad(cache["pre"])
+    g_ad *= ops.gelu_grad(cache["pre"])
     if config.ffn_mode == "full":
-        dx, grads[prefix + "ffn.w1"] = ops.matmul_backward(g_pre, cache["x"], w["ffn.w1"])
+        dx, grads[prefix + "ffn.w1"] = ops.matmul_backward(g_ad, cache["x"], w["ffn.w1"])
     elif config.ffn_mode == "shared":
-        dx, grads[prefix + "ffn.w1s"] = ops.matmul_backward(g_pre, cache["x"], w["ffn.w1s"])
+        dx, grads[prefix + "ffn.w1s"] = ops.matmul_backward(g_ad, cache["x"], w["ffn.w1s"])
     else:
-        g_mid1, grads[prefix + "ffn.w12"] = ops.matmul_backward(g_pre, cache["mid1"], w["ffn.w12"])
+        g_mid1, grads[prefix + "ffn.w12"] = ops.matmul_backward(g_ad, cache["mid1"], w["ffn.w12"])
         dx, grads[prefix + "ffn.w11"] = ops.matmul_backward(g_mid1, cache["x"], w["ffn.w11"])
     return dx, grads
 
@@ -301,7 +311,8 @@ def attention_apply(x_q: np.ndarray, x_kv: np.ndarray, params: dict, layer: int,
     concat-then-project).  Heads are the leading axis of one batched
     computation; the dropout mask is one (M, nq, nkv) draw, which consumes
     the stream exactly as M consecutive (nq, nkv) draws would, with nq the
-    rows of x_q: the last layer draws for the head's rows alone.
+    rows of x_q: the last layer draws for the head's rows alone.  With
+    dropout off ``rng`` is not read and may be None.
     """
     D, M = config.D, config.M
     if x_q.shape[1] != D or x_kv.shape[1] != D:
@@ -315,7 +326,7 @@ def attention_apply(x_q: np.ndarray, x_kv: np.ndarray, params: dict, layer: int,
     v = _split_heads(ops.matmul(x_kv, w["w_v1"]), M)
     scores = q @ k.transpose(0, 2, 1)
     scores *= scale
-    probs = ops.softmax_rows(scores)
+    probs = ops.softmax_rows(scores, out=scores)
     mask = ops.dropout_mask(probs.shape, config.dropout_p, rng, training)
     ctx = _merge_heads(_dropped(probs, mask, config.dropout_p) @ v)
     out = ctx @ w["w_v2_t"].T
@@ -338,7 +349,7 @@ def attention_backward(g: np.ndarray, cache: dict):
     g_v = _merge_heads(probs_d.transpose(0, 2, 1) @ g_ctx)
     if cache["mask"] is not None:
         ops.apply_dropout(g_probs, cache["mask"], p, out=g_probs)
-    g_scores = ops.softmax_rows_backward(g_probs, cache["probs"])
+    g_scores = ops.softmax_rows_backward(g_probs, cache["probs"], out=g_probs)
     g_scores *= cache["scale"]
     g_q = _merge_heads(g_scores @ cache["k"])
     g_k = _merge_heads(g_scores.transpose(0, 2, 1) @ cache["q"])
@@ -368,23 +379,34 @@ def _check_positions(n: int, masked_positions, config: ModelConfig) -> None:
 def _query_maps(n: int, masked: np.ndarray, config: ModelConfig):
     """Per-layer query maps.
 
-    Layer 0 pools its queries with P when ``pool_k > 1``; the last layer
-    keeps only the head's rows, a selection from its n'-row query stream
-    (composed with P when it is layer 0 as well); other layers have none.
-    A layer with map Q attends from Q @ LN(x) to LN(x) and carries Q @ x on
-    its residual path.  Every output row depends on its own query row only,
-    so the rows the last layer skips are rows no later step reads.
+    Layer 0 pools its queries with the dense matrix P when ``pool_k > 1``
+    and it is not also the last layer.  The last layer keeps only the
+    head's rows, given as row indices into its query stream: the pooled
+    rows holding the masked positions after a pooled layer 0, the masked
+    positions otherwise.  Other layers have no map.  A layer with a map
+    attends from its map's rows of LN(x) (``P @ LN(x)`` or ``LN(x)[rows]``)
+    to all of LN(x), and carries the same rows of x on its residual path.
+    Every output row depends on its own query row only, so the rows the
+    last layer skips are rows no later step reads.
+
+    At L = 1 the map is ``masked`` itself and no pooling matrix is built:
+    P's masked rows are one-hot, since each masked position is its own
+    group, of weight 1.0, so they select the rows the indices take.
     """
-    if config.pool_k > 1:
-        P, pooled_masked = build_pooling(n, masked, config.pool_k)
-        n_q = P.shape[0]
-    else:
-        P, pooled_masked, n_q = None, masked, n
-    select = np.zeros((pooled_masked.size, n_q))
-    select[np.arange(pooled_masked.size), pooled_masked] = 1.0
-    maps = [P] + [None] * (config.L - 1)
-    maps[-1] = select if config.L > 1 or P is None else P[pooled_masked]
+    maps = [None] * config.L
+    rows = masked
+    if config.pool_k > 1 and config.L > 1:
+        maps[0], rows = build_pooling(n, masked, config.pool_k)
+    maps[-1] = rows
     return maps
+
+
+def _map_rows(Q, a: np.ndarray) -> np.ndarray:
+    """The rows of a that query map Q selects: a itself without a map, a
+    gather for row indices, a product for a pooling matrix."""
+    if Q is None:
+        return a
+    return a[Q] if Q.ndim == 1 else Q @ a
 
 
 def encoder_apply(token_ids, masked_positions, params: dict, config: ModelConfig,
@@ -394,10 +416,11 @@ def encoder_apply(token_ids, masked_positions, params: dict, config: ModelConfig
     Pre-norm residual blocks: x <- x + Att(LN(x)); x <- x + FFN(LN(x)).
     With pool_k > 1 the first layer pools the query stream and its residual
     path; layers >= 2 run at the pooled length.  The last layer runs its
-    queries, residual and FFN on the masked rows only (``_query_maps``), so
-    ``hidden`` holds one final row per masked position, in order.  Its
-    dropout masks are drawn for those rows only, the j-th masked row taking
-    the j-th row of each draw.
+    queries, residual and FFN on the masked rows only, gathered by row
+    index (``_query_maps``), so ``hidden`` holds one final row per masked
+    position, in order.  Its dropout masks are drawn for those rows only,
+    the j-th masked row taking the j-th row of each draw.  With dropout off
+    no layer forks ``rng``: forks are keyed by label, so no stream moves.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     n = token_ids.shape[0]
@@ -406,26 +429,30 @@ def encoder_apply(token_ids, masked_positions, params: dict, config: ModelConfig
 
     x = params["token_emb"][token_ids] + params["pos_emb"][:n]
     maps = _query_maps(n, masked, config)
+    dropout = training and config.dropout_p > 0.0
 
     layers = []
     for i in range(config.L):
         lp = f"layer{i}."
-        rng_a = rng.fork(f"layer{i}.attn")
-        rng_f = rng.fork(f"layer{i}.ffn")
+        rng_a = rng.fork(f"layer{i}.attn") if dropout else None
+        rng_f = rng.fork(f"layer{i}.ffn") if dropout else None
         ln1, ln1_cache = ops.layer_norm(x, params[lp + "ln_attn.gain"],
                                         params[lp + "ln_attn.bias"], LN_EPS)
         Q = maps[i]
-        x_q, x_res = (ln1, x) if Q is None else (Q @ ln1, Q @ x)
-        att, acache = attention_apply(x_q, ln1, params, i, config, rng_a, training)
-        x = x_res + att
+        att, acache = attention_apply(_map_rows(Q, ln1), ln1, params, i, config,
+                                      rng_a, training)
+        att += _map_rows(Q, x)
+        x = att
         ln2, ln2_cache = ops.layer_norm(x, params[lp + "ln_ffn.gain"],
                                         params[lp + "ln_ffn.bias"], LN_EPS)
         f, fcache = ffn_apply(ln2, params, i, config, rng_f, training)
-        x = x + f
+        f += x
+        x = f
         layers.append({"ln_attn": ln1_cache, "ln_ffn": ln2_cache,
                        "attn": acache, "ffn": fcache})
 
-    logits = x @ params["head.w"] + params["head.b"]
+    logits = x @ params["head.w"]
+    logits += params["head.b"]
     cache = {"token_ids": token_ids, "n": n, "maps": maps, "layers": layers,
              "hidden": x, "params": params, "config": config}
     return logits, x, cache
@@ -433,7 +460,11 @@ def encoder_apply(token_ids, masked_positions, params: dict, config: ModelConfig
 
 def encoder_backward(g_logits: np.ndarray, cache: dict, grads: dict) -> None:
     """Adjoint of encoder_apply; adds the gradients into ``grads``, a dict
-    shaped exactly like Params (see ``zero_grads``)."""
+    shaped exactly like Params (see ``zero_grads``).
+
+    A row-index map's adjoint adds each query row's gradient into its
+    distinct source row, and scatters the residual gradient into zeros.
+    """
     params, config = cache["params"], cache["config"]
     hidden = cache["hidden"]
 
@@ -451,20 +482,27 @@ def encoder_backward(g_logits: np.ndarray, cache: dict, grads: dict) -> None:
             g_ln2, lc["ln_ffn"], params[lp + "ln_ffn.gain"])
         grads[lp + "ln_ffn.gain"] += dgain
         grads[lp + "ln_ffn.bias"] += dbias
-        g_x = g_x + d_xmid
+        d_xmid += g_x
+        g_x = d_xmid
         # Attention block: x_mid = Q x + att(Q LN(x), LN(x)), Q = I without a map
         g_xq, g_xkv, agrads = attention_backward(g_x, lc["attn"])
         for name, t in agrads.items():
             grads[name] += t
         Q = cache["maps"][i]
         if Q is None:
-            g_ln1 = g_xq + g_xkv
+            g_xkv += g_xq
+        elif Q.ndim == 1:
+            g_xkv[Q] += g_xq
+            g_rows = g_x
+            g_x = np.zeros_like(g_xkv)
+            g_x[Q] = g_rows
         else:
-            g_ln1 = Q.T @ g_xq + g_xkv
+            g_xkv += Q.T @ g_xq
             g_x = Q.T @ g_x
         d_xin, dgain, dbias = ops.layer_norm_backward(
-            g_ln1, lc["ln_attn"], params[lp + "ln_attn.gain"])
-        g_x = g_x + d_xin
+            g_xkv, lc["ln_attn"], params[lp + "ln_attn.gain"])
+        d_xin += g_x
+        g_x = d_xin
         grads[lp + "ln_attn.gain"] += dgain
         grads[lp + "ln_attn.bias"] += dbias
 
@@ -514,7 +552,8 @@ def mlm_loss(batch, params: dict, config: ModelConfig, rng: Rng, training: bool,
                                          rng.fork(f"seq{j}"), training)
         loss_j, g_logits = ops.cross_entropy_logits(logits, targets[j])
         total += loss_j
-        encoder_backward(g_logits / B, cache, grads)
+        g_logits /= B
+        encoder_backward(g_logits, cache, grads)
     return total / B, grads
 
 

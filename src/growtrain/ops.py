@@ -4,6 +4,13 @@ Tensors are plain ``numpy.ndarray`` objects with dtype float64.  Every
 differentiable operation here ships an explicit backward function; there is
 no autograd tape.  The finite-difference checker at the bottom is the test
 oracle the adjoints are validated against.
+
+The kernels allocate only their results and the few working arrays they
+write in place, and ``softmax_rows``, ``softmax_rows_backward`` and
+``apply_dropout`` take ``out=`` for a caller whose input is dead after the
+call.  No kernel writes an input it was not given as ``out``.  The in-place
+steps keep the operations and operand order of the plain expressions (up
+to commuting one + or *), so the results have the same bits.
 """
 
 from __future__ import annotations
@@ -32,36 +39,70 @@ def matmul_backward(g: np.ndarray, a: np.ndarray, b: np.ndarray):
     return g @ b.T, a.T @ g
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with max subtraction for overflow safety."""
-    out = x - x.max(axis=-1, keepdims=True)
+def softmax_rows(x: np.ndarray, out=None) -> np.ndarray:
+    """Softmax over the last axis with max subtraction for overflow safety.
+
+    ``out`` receives the result; pass ``out=x`` when x is dead after the
+    call, and the softmax runs in place with the same bits.
+    """
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
 
 
-def softmax_rows_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Adjoint of softmax_rows given its output y."""
-    out = g - (g * y).sum(axis=-1, keepdims=True)
+def softmax_rows_backward(g: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """Adjoint of softmax_rows given its output y; ``out=g`` reuses the
+    upstream gradient's buffer."""
+    out = np.subtract(g, (g * y).sum(axis=-1, keepdims=True), out=out)
     out *= y
     return out
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """GELU, tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(sqrt(2/pi)(x + 0.044715 x^3)) in one fresh array, its steps in
+    place in the formula's order.  Powers are written as products: ``x**3``
+    goes through ``pow``, which is about 40x slower than two multiplies on
+    float64 arrays.  A 0-d input gives a 0-d array."""
+    t = np.multiply(x, x, out=np.empty(np.shape(x)))
+    t *= x
+    t *= GELU_COEF
+    t += x
+    t *= SQRT_2_OVER_PI
+    return np.tanh(t, out=t)
 
-    Powers are written as products: ``x**3`` goes through ``pow``, which is
-    about 40x slower than two multiplies on float64 arrays.
-    """
-    inner = SQRT_2_OVER_PI * (x + GELU_COEF * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(inner))
+
+def gelu(x: np.ndarray) -> np.ndarray:
+    """GELU, tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))),
+    in two working arrays."""
+    t = _gelu_tanh(x)
+    t += 1.0
+    out = np.multiply(x, 0.5, out=np.empty(np.shape(x)))
+    out *= t
+    return out
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    x2 = x * x
-    t = np.tanh(SQRT_2_OVER_PI * (x + GELU_COEF * (x2 * x)))
-    d_inner = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * x2)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
+    """d gelu / dx: 0.5 (1 + t) + 0.5 x (1 - t^2) d_inner, with t the tanh
+    of the forward pass and d_inner = sqrt(2/pi)(1 + 3 * 0.044715 x^2).
+
+    Three working arrays, in the formula's order; x * x is formed twice
+    rather than kept in a fourth array.
+    """
+    t = _gelu_tanh(x)
+    b = np.multiply(t, t, out=np.empty(np.shape(x)))
+    np.subtract(1.0, b, out=b)
+    half_x = np.multiply(x, 0.5, out=np.empty(np.shape(x)))
+    half_x *= b
+    b = np.multiply(x, x, out=b)
+    b *= 3.0 * GELU_COEF
+    b += 1.0
+    b *= SQRT_2_OVER_PI
+    half_x *= b
+    t += 1.0
+    t *= 0.5
+    t += half_x
+    return t
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -70,30 +111,38 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
 
     Returns (y, cache); the cache holds the normalized rows and their
     standard deviations for ``layer_norm_backward``.  The sums divided by D
-    are the reductions ``x.mean``/``x.var`` perform, bit for bit.
+    are the reductions ``x.mean``/``x.var`` perform, bit for bit.  y is
+    written into the buffer of the squared deviations.
     """
     if eps <= 0:
         raise ParamError(f"layer_norm: eps must be > 0, got {eps}")
     D = x.shape[1]
     xhat = x - x.sum(axis=1, keepdims=True) / D
-    s = np.sqrt((xhat * xhat).sum(axis=1, keepdims=True) / D + eps)
+    y = xhat * xhat
+    s = np.sqrt(y.sum(axis=1, keepdims=True) / D + eps)
     xhat /= s
-    y = xhat * gain
+    np.multiply(xhat, gain, out=y)
     y += bias
     return y, (xhat, s)
 
 
 def layer_norm_backward(g: np.ndarray, cache, gain: np.ndarray):
-    """Adjoint of layer_norm given its cache; returns (dx, dgain, dbias)."""
+    """Adjoint of layer_norm given its cache; returns (dx, dgain, dbias).
+
+    dx is built in the buffer of g * gain, with one more working array.
+    """
     xhat, s = cache
     D = xhat.shape[1]
     gg = g * gain
-    dgain = np.sum(g * xhat, axis=0)
+    tmp = g * xhat
+    dgain = tmp.sum(axis=0)
     dbias = np.sum(g, axis=0)
-    dx = gg - gg.sum(axis=1, keepdims=True) / D
-    dx -= xhat * ((gg * xhat).sum(axis=1, keepdims=True) / D)
-    dx /= s
-    return dx, dgain, dbias
+    np.multiply(gg, xhat, out=tmp)
+    proj = tmp.sum(axis=1, keepdims=True) / D
+    gg -= gg.sum(axis=1, keepdims=True) / D
+    gg -= np.multiply(xhat, proj, out=tmp)
+    gg /= s
+    return gg, dgain, dbias
 
 
 def dropout_mask(shape, p: float, rng: Rng, training: bool):

@@ -297,6 +297,18 @@ class TestGrowVerifyOutputs:
         monkeypatch.setattr(cli_module, "gen_corpus", lambda dc, rng: full(whole, rng))
         assert stdout() == probe_rows_only
 
+    def test_verify_evaluates_each_distinct_row_once(self, tmp_path, capsys):
+        # corpus_size is 8: rows past it repeat rows 0-7 with their masks, so
+        # a huge batch prints what a batch of 8 does, in the same short time
+        src = _fresh_checkpoint(tmp_path / "src", ffn_mode="shared", ffn_k=2, pool_k=2)
+        printed = []
+        for batch in ("8", "1000000"):
+            for op in ("unshare", "stack:2"):
+                assert cli(["verify", "--ckpt", str(src), "--op", op, "--batch", batch,
+                            "--seed", "3"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_2(self):
@@ -424,6 +436,8 @@ class TestStrictConfig:
         "zero_batch_size": (_set(("schedule", 1, "batch_size"), 0), "batch_size"),
         "negative_batch_size": (_set(("schedule", 0, "batch_size"), -2), "batch_size"),
         "zero_corpus_size": (_set(("data", "corpus_size"), 0), "corpus_size"),
+        # the mask token alone: nothing left for the corpus to emit
+        "vocabulary_of_one": (_set(("model", "V"), 1), "$.data: V must be >= 2"),
         "zero_eval_batch_size": (_set(("eval_batch_size",), 0), "$.eval_batch_size"),
         "nan_peak_lr": (_set(("optimizer", "peak_lr"), math.nan), "$.optimizer.peak_lr"),
         "infinite_peak_lr": (_set(("optimizer", "peak_lr"), math.inf), "$.optimizer.peak_lr"),

@@ -1,5 +1,6 @@
-"""Memory budgets of the growth path: checkpoint I/O, ``growth.apply``, the
-preservation check behind ``growtrain verify`` and ``growtrain grow``.
+"""Memory budgets of the growth path (checkpoint I/O, ``growth.apply``, the
+preservation check behind ``growtrain verify`` and ``growtrain grow``) and
+of one encoder sequence, forward-only and in training.
 
 ``tracemalloc`` sees numpy's data buffers as well as Python ``bytes``
 objects, so the peak it reports counts every model-sized intermediate
@@ -7,7 +8,9 @@ copy.  The bounds are counts of bytes, not timings, and repeat exactly:
 saving allocates next to nothing, loading allocates the tensors once,
 growing allocates the grown model once, verifying a growth op allocates
 only the tensors the op makes, and ``grow`` allocates only the loaded
-tensors and the ones the op makes.
+tensors and the ones the op makes.  The encoder's kernels write their
+results into buffers already in hand, so a throwaway copy of a score or
+hidden array shows up as a higher peak.
 """
 
 import tracemalloc
@@ -17,8 +20,8 @@ import pytest
 from growtrain import growth
 from growtrain.checkpoint import load_checkpoint, save_checkpoint
 from growtrain.cli import cli
-from growtrain.data import DataConfig
-from growtrain.model import ModelConfig, init_params
+from growtrain.data import DataConfig, assemble, gen_corpus
+from growtrain.model import ModelConfig, encoder_forward, init_params, mlm_loss, zero_grads
 from growtrain.rng import Rng
 
 from conftest import random_batch
@@ -108,3 +111,37 @@ def test_verify_allocates_only_the_new_tensors(model):
     # the unshared FFN matrices are most of it; no owned copy of the grown
     # model (its unchanged tensors included) is made
     assert made <= peak < nbytes(grown)
+
+
+@pytest.fixture(scope="module")
+def desk_final():
+    """compound_base_desk's final stage: L=4, D=32, full FFN, no pooling,
+    one sequence of 128 tokens with 19 masks."""
+    cfg = ModelConfig(L=4, D=32, H=64, M=2, N_max=128, V=64, dropout_p=0.1)
+    dc = DataConfig(V=64, corpus_size=1, seq_len_full=128, train_len=128,
+                    masks_per_seq=19)
+    batch = assemble(gen_corpus(dc, Rng(4)), [0], dc, Rng(5))
+    return init_params(cfg, Rng(3).fork("init")), cfg, batch
+
+
+# bytes of one layer's (M, n, n) attention scores at that shape
+SCORES = 2 * 128 * 128 * 8
+
+
+def test_forward_pass_peak(desk_final):
+    params, cfg, (ids, masked, _) = desk_final
+    _, peak = peak_allocation(
+        lambda: encoder_forward(ids[0], masked[0], params, cfg, Rng(0)))
+    # 8.66 SCORES (about 2.27 MB); 9.03 (about 2.37 MB) when the kernels
+    # made a fresh array for each result
+    assert peak < 8.85 * SCORES
+
+
+def test_training_sequence_peak(desk_final):
+    params, cfg, batch = desk_final
+    grads = zero_grads(params)
+    _, peak = peak_allocation(
+        lambda: mlm_loss(batch, params, cfg, Rng(6), True, grads))
+    # 13.23 SCORES (about 3.47 MB); 14.29 (about 3.75 MB) when the kernels
+    # made a fresh array for each result
+    assert peak < 13.75 * SCORES

@@ -588,6 +588,26 @@ class TestTrimmedLastLayer:
         assert hidden.shape == (2, 8)
 
 
+@pytest.mark.parametrize("training, p", [(False, 0.1), (True, 0.0), (True, 0.1)])
+def test_layers_fork_only_for_dropout(training, p, monkeypatch):
+    """With dropout off no layer forks its rng (forks are keyed by label, so
+    skipping them moves no stream); with dropout on each layer forks twice."""
+    cfg = ModelConfig(L=3, D=8, H=16, M=2, N_max=ORACLE_N, V=11, dropout_p=p,
+                      ffn_mode="shared", ffn_k=2, pool_k=2)
+    params = init_params(cfg, Rng(46).fork("init"))
+    labels = []
+    fork = Rng.fork
+
+    def counting_fork(self, label):
+        labels.append(label)
+        return fork(self, label)
+
+    monkeypatch.setattr(Rng, "fork", counting_fork)
+    encoder_forward(np.arange(ORACLE_N) % 10 + 1, ORACLE_MASKS["nineteen"], params, cfg,
+                    Rng(47), training=training)
+    assert len(labels) == (2 * cfg.L if training and p > 0 else 0)
+
+
 class TestMlmLoss:
     def test_loss_near_ln_v_at_random_init(self):
         for V in (16, 64, 256):

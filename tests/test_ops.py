@@ -286,3 +286,150 @@ def test_all_adjoints_on_random_inputs(seed):
     dx, _, _ = ops.layer_norm_backward(gs, ops.layer_norm(x, gain, bias)[1], gain)
     assert ops.finite_diff_check(
         lambda z: float((ops.layer_norm(z, gain, bias)[0] * gs).sum()), x, dx) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# The in-place kernels against the out-of-place formulas they replaced
+# ---------------------------------------------------------------------------
+
+def softmax_out_of_place(x):
+    out = x - x.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def softmax_backward_out_of_place(g, y):
+    out = g - (g * y).sum(axis=-1, keepdims=True)
+    out *= y
+    return out
+
+
+def gelu_out_of_place(x):
+    inner = ops.SQRT_2_OVER_PI * (x + ops.GELU_COEF * (x * x * x))
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+def gelu_grad_out_of_place(x):
+    x2 = x * x
+    t = np.tanh(ops.SQRT_2_OVER_PI * (x + ops.GELU_COEF * (x2 * x)))
+    d_inner = ops.SQRT_2_OVER_PI * (1.0 + 3.0 * ops.GELU_COEF * x2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
+
+
+def layer_norm_out_of_place(x, gain, bias, eps):
+    D = x.shape[1]
+    xhat = x - x.sum(axis=1, keepdims=True) / D
+    s = np.sqrt((xhat * xhat).sum(axis=1, keepdims=True) / D + eps)
+    xhat /= s
+    y = xhat * gain
+    y += bias
+    return y, (xhat, s)
+
+
+def layer_norm_backward_out_of_place(g, cache, gain):
+    xhat, s = cache
+    D = xhat.shape[1]
+    gg = g * gain
+    dgain = np.sum(g * xhat, axis=0)
+    dbias = np.sum(g, axis=0)
+    dx = gg - gg.sum(axis=1, keepdims=True) / D
+    dx -= xhat * ((gg * xhat).sum(axis=1, keepdims=True) / D)
+    dx /= s
+    return dx, dgain, dbias
+
+
+SPECIAL = (0.0, -0.0, 1e300, -1e300, 7e150, -3e100, 1e-310, np.inf, -np.inf)
+KERNEL_SHAPES = [(19, 32), (128, 64), (2, 128, 128)]
+LN_EPS = 1e-12
+
+
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).reshape(-1).view(np.uint64)
+
+
+def assert_same_bits(got, want):
+    assert np.shape(got) == np.shape(want)
+    npt.assert_array_equal(bits(got), bits(want))
+
+
+def with_specials(shape, seed):
+    """Uniform values of magnitude up to 8 and up to 1e4, with each of
+    SPECIAL spread over the array; rows between them stay finite."""
+    rng = Rng(seed)
+    x = rng.uniform(-8.0, 8.0, shape) * 10.0 ** rng.integers(0, 5, shape)
+    flat = x.reshape(-1)
+    stride = flat.size // len(SPECIAL)
+    for i, v in enumerate(SPECIAL):
+        flat[i * stride + i % 7] = v
+    return x
+
+
+def scalars():
+    return [np.array(v) for v in SPECIAL + (0.5, -2.25, 40.0)]
+
+
+def check_untouched(fn, *args):
+    """fn(*args), asserting that no array argument changes a bit."""
+    before = [bits(a).copy() for a in args]
+    result = fn(*args)
+    for a, b in zip(args, before):
+        npt.assert_array_equal(bits(a), b)
+    return result
+
+
+class TestInPlaceKernelsKeepTheirBits:
+    """Each kernel equals its out-of-place formula bit for bit, over shapes
+    of the encoder and inputs with signed zeros, huge and subnormal values
+    and infinities, and reads its inputs without writing them."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES + [()])
+    def test_gelu_and_gelu_grad(self, shape):
+        inputs = scalars() if shape == () else [with_specials(shape, 1)]
+        for x in inputs:
+            assert_same_bits(check_untouched(ops.gelu, x), gelu_out_of_place(x))
+            assert_same_bits(check_untouched(ops.gelu_grad, x), gelu_grad_out_of_place(x))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_softmax_rows_and_backward(self, shape):
+        x = with_specials(shape, 2)
+        y = check_untouched(ops.softmax_rows, x)
+        assert_same_bits(y, softmax_out_of_place(x))
+        g = with_specials(shape, 3)
+        y = ops.softmax_rows(Rng(4).uniform(-3.0, 3.0, shape))
+        assert_same_bits(check_untouched(ops.softmax_rows_backward, g, y),
+                         softmax_backward_out_of_place(g, y))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_softmax_out_reuses_the_argument(self, shape):
+        x = with_specials(shape, 5)
+        want = ops.softmax_rows(x.copy())
+        out = ops.softmax_rows(x, out=x)
+        assert out is x
+        assert_same_bits(x, want)
+        g, y = with_specials(shape, 6), ops.softmax_rows(Rng(7).uniform(-3.0, 3.0, shape))
+        want = ops.softmax_rows_backward(g.copy(), y)
+        assert ops.softmax_rows_backward(g, y, out=g) is g
+        assert_same_bits(g, want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("shape", [s for s in KERNEL_SHAPES if len(s) == 2])
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_layer_norm_and_backward(self, shape, finite):
+        rng = Rng(8)
+        D = shape[1]
+        x = rng.uniform(-3.0, 3.0, shape) if finite else with_specials(shape, 9)
+        gain, bias = rng.uniform(0.5, 1.5, D), rng.uniform(-0.5, 0.5, D)
+        y, cache = check_untouched(ops.layer_norm, x, gain, bias, LN_EPS)
+        ref_y, ref_cache = layer_norm_out_of_place(x, gain, bias, LN_EPS)
+        for got, want in zip((y,) + cache, (ref_y,) + ref_cache):
+            assert_same_bits(got, want)
+        g = rng.uniform(-1.0, 1.0, shape) if finite else with_specials(shape, 10)
+        got = check_untouched(lambda g, xhat, s, gain: ops.layer_norm_backward(
+            g, (xhat, s), gain), g, *cache, gain)
+        for a, b in zip(got, layer_norm_backward_out_of_place(g, cache, gain)):
+            assert_same_bits(a, b)
+
